@@ -40,6 +40,7 @@ from typing import (
 from ..exceptions import ValidationError
 from ..resources.governor import RunContext, current_context
 from ..structures.structure import Element, Structure, Tup
+from ..structures.twins import twin_classes
 
 Homomorphism = Dict[Element, Element]
 
@@ -104,6 +105,20 @@ class _TargetIndex:
             self.position_values[name] = [
                 frozenset(index[pos].keys()) for pos in range(arity)
             ]
+        self._target = target
+        self._twins: Optional[Dict[Element, FrozenSet[Element]]] = None
+
+    @property
+    def twins(self) -> Dict[Element, FrozenSet[Element]]:
+        """Each element's twin class (see :mod:`repro.structures.twins`),
+        computed on first use."""
+        if self._twins is None:
+            self._twins = {
+                e: group
+                for group in twin_classes(self._target)
+                for e in group
+            }
+        return self._twins
 
 
 #: Per-target index reuse: core-retraction loops and containment batches
@@ -213,7 +228,9 @@ class HomomorphismSearch:
                 dom &= self._positions_filter(name, tup, e)
             self.domains[e] = dom
 
-        # Constants pin their interpretation.
+        # Constants pin their interpretation; ``fixed`` collects the
+        # pinned values, which twin pruning must never swap away.
+        self.fixed: Set[Element] = set()
         for cname in source.vocabulary.constants:
             if not target.vocabulary.has_constant(cname):
                 raise ValidationError(
@@ -228,6 +245,7 @@ class HomomorphismSearch:
         if element not in self.domains:
             raise ValidationError(f"{element!r} is not a source element")
         self.domains[element] &= {value}
+        self.fixed.add(value)
 
     def _positions_filter(self, name: str, tup: Tup, e: Element) -> Set[Element]:
         """Values ``v`` such that some target tuple has ``v`` at *every*
@@ -350,8 +368,15 @@ class HomomorphismSearch:
             key=lambda e: (len(domains[e]), -len(self.facts_of[e]), repr(e)),
         )
         values = sorted(domains[var], key=repr)
+        # Twin pruning, in the kernel's order: a fresh value (outside
+        # the image and the pins) whose subtree held no solution rules
+        # out its fresh twins at this node.
+        taken = self.fixed | set(assignment.values())
+        skip: Set[Element] = set()
         for value in values:
-            if self.injective and value in assignment.values():
+            if value in skip or (
+                self.injective and value in assignment.values()
+            ):
                 continue
             assignment[var] = value
             if self.stats is not None:
@@ -360,10 +385,15 @@ class HomomorphismSearch:
                 self._consistent_fact(name, tup, assignment)
                 for name, tup in self.facts_of[var]
             )
+            found = False
             if ok:
                 child = {e: set(d) for e, d in domains.items()}
                 child[var] = {value}
-                yield from self._search(child, assignment)
+                for solution in self._search(child, assignment):
+                    found = True
+                    yield solution
+            if not found and value not in taken:
+                skip |= self.index.twins[value] - taken
             del assignment[var]
             if self.stats is not None:
                 self.stats.backtracks += 1

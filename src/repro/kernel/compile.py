@@ -24,6 +24,7 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..structures.structure import Element, Structure
+from ..structures.twins import twin_classes
 
 #: Compiled targets retained by a default cache.
 DEFAULT_COMPILED_CACHE_SIZE = 256
@@ -129,7 +130,7 @@ class CompiledTarget:
     """
 
     __slots__ = ("structure", "elements", "index_of", "full_mask",
-                 "relations")
+                 "relations", "_twin_masks")
 
     def __init__(self, target: Structure) -> None:
         self.structure = target
@@ -148,6 +149,26 @@ class CompiledTarget:
             self.relations[name] = CompiledRelation(
                 name, target.vocabulary.arity(name), interned
             )
+        self._twin_masks: Optional[List[int]] = None
+
+    @property
+    def twin_masks(self) -> List[int]:
+        """``twin_masks[i]`` is the element-index bitmask of element
+        ``i``'s twin class (see :mod:`repro.structures.twins`).
+
+        Computed on first use: the solver asks only once a subtree has
+        failed, so searches that never backtrack never pay for it.
+        """
+        if self._twin_masks is None:
+            masks = [0] * len(self.elements)
+            for group in twin_classes(self.structure):
+                mask = 0
+                for e in group:
+                    mask |= 1 << self.index_of[e]
+                for e in group:
+                    masks[self.index_of[e]] = mask
+            self._twin_masks = masks
+        return self._twin_masks
 
     def size(self) -> int:
         """The number of universe elements."""

@@ -131,7 +131,10 @@ class BitsetHomomorphismSolver:
                 self.domains[var] &= rel.group_values(tuple(positions))
         self.degree = [len(f) for f in self.facts_of]
 
-        # Constants pin their interpretation, then explicit pins apply.
+        # Constants pin their interpretation, then explicit pins apply;
+        # ``fixed`` collects the pinned values, which twin pruning must
+        # never swap away.
+        self.fixed = 0
         for cname in source.vocabulary.constants:
             if not target.structure.vocabulary.has_constant(cname):
                 raise ValidationError(
@@ -147,7 +150,9 @@ class BitsetHomomorphismSolver:
         if var is None:
             raise ValidationError(f"{element!r} is not a source element")
         idx = self.target.index_of.get(value)
-        self.domains[var] &= (1 << idx) if idx is not None else 0
+        bit = (1 << idx) if idx is not None else 0
+        self.domains[var] &= bit
+        self.fixed |= bit
 
     # ------------------------------------------------------------------
     # Propagation
@@ -310,11 +315,18 @@ class BitsetHomomorphismSolver:
                 best, best_key = v, key
         var = best
         stats = self.stats
+        # Values outside the image and the pins are *fresh*.  A fresh
+        # value whose subtree held no solution rules out its fresh twins
+        # here: swapping the two is an automorphism fixing every assigned
+        # image and pin, so it maps the twin's subtree onto the failed
+        # one.  ``skip`` collects those twins (see DESIGN.md §4).
+        taken = used | self.fixed
+        skip = 0
         d = domains[var]
         while d:
             low = d & -d
             d ^= low
-            if self.injective and used & low:
+            if low & skip or (self.injective and used & low):
                 continue
             value = low.bit_length() - 1
             assignment[var] = value
@@ -326,8 +338,13 @@ class BitsetHomomorphismSolver:
                 ok = self._propagate(child, self.facts_of[var])
             else:
                 ok = self._forward_check(assignment, var)
+            found = False
             if ok:
-                yield from self._search(child, assignment, used | low)
+                for solution in self._search(child, assignment, used | low):
+                    found = True
+                    yield solution
+            if not found and not low & taken:
+                skip |= self.target.twin_masks[value] & ~taken
             del assignment[var]
             if stats is not None:
                 stats.backtracks += 1

@@ -28,10 +28,14 @@ from repro.homomorphism import is_homomorphism
 from repro.homomorphism.search import HomomorphismSearch
 from repro.kernel import BitsetHomomorphismSolver, CompiledTarget
 from repro.resources import governed
+from repro.graphtheory.generators import complete_bipartite_graph
 from repro.structures import (
     Structure,
     Vocabulary,
+    clique_structure,
+    graph_as_structure,
     random_structure,
+    star_structure,
     undirected_cycle,
     undirected_path,
 )
@@ -115,6 +119,28 @@ def test_kernel_differential_without_propagation(seed):
     _both(b, a, propagate=False)
 
 
+#: Targets full of twin values (swapping two is an automorphism), where
+#: both solvers prune failed twins and must still explore one tree.
+SYMMETRIC_TARGETS = [
+    clique_structure(2),
+    clique_structure(3),
+    clique_structure(4),
+    graph_as_structure(complete_bipartite_graph(2, 3)),
+    star_structure(3),
+    undirected_cycle(4),
+]
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_kernel_differential_symmetric_targets(seed):
+    a, _ = _random_pair(GRAPH, seed)
+    target = SYMMETRIC_TARGETS[seed % len(SYMMETRIC_TARGETS)]
+    _modes(a, target)
+    _both(a, target, propagate=False)
+    n = 2 + seed % 4
+    _both(clique_structure(n + 1), clique_structure(n))
+
+
 def test_harness_covers_500_cases():
     """The sweeps above run >= 500 (pair, mode) differential cases."""
     assert (80 + 40) * 5 + 30 * 2 >= 500
@@ -126,6 +152,9 @@ def test_kernel_enumeration_matches_reference_order():
         (undirected_path(3), undirected_path(4)),
         (undirected_cycle(3), undirected_cycle(3)),
         (undirected_path(2), undirected_cycle(5)),
+        (undirected_path(4), clique_structure(3)),
+        (undirected_cycle(5), undirected_cycle(4)),
+        (undirected_path(3), star_structure(3)),
     ]:
         reference = list(HomomorphismSearch(source, target).solutions())
         kernel = list(
