@@ -52,18 +52,7 @@ Subpackages
 
 __version__ = "1.0.0"
 
-from . import (  # noqa: F401
-    core,
-    cq,
-    dataexchange,
-    datalog,
-    graphtheory,
-    homomorphism,
-    logic,
-    pebble,
-    resources,
-    structures,
-)
+from ._lazy import lazy_exports
 from .exceptions import (
     BudgetExceededError,
     DeadlineExceededError,
@@ -74,6 +63,10 @@ from .exceptions import (
     UnsupportedFragmentError,
     ValidationError,
 )
+
+# No table: each subpackage is imported on first access to
+# ``repro.<name>``, so ``import repro`` loads only the exceptions.
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {})
 
 __all__ = [
     "core",

@@ -74,23 +74,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from .cq import canonical_query, chandra_merlin_check
-from .datalog import evaluate_semi_naive, parse_program
-from .homomorphism import compute_core, find_homomorphism
-from .logic import parse_formula
-from .pebble import duplicator_wins
-from .structures import (
-    Vocabulary,
-    gaifman_graph,
-    load_structure,
-    structure_to_json,
-)
-from .graphtheory import treewidth_exact
+from .structures.io import load_structure
+
+if TYPE_CHECKING:
+    from .structures import Vocabulary
+
+# Each subcommand imports the layers it runs inside its handler, so a
+# ``repro hom`` or ``repro serve`` start never compiles the FO logic,
+# Datalog, pebble-game or preservation-theorem modules.
 
 
 def _parse_relations(spec: str) -> Vocabulary:
+    from .structures import Vocabulary
+
     relations = {}
     for chunk in spec.split(","):
         name, _, arity = chunk.partition(":")
@@ -101,6 +99,8 @@ def _parse_relations(spec: str) -> Vocabulary:
 
 
 def _cmd_hom(args: argparse.Namespace) -> int:
+    from .homomorphism import find_homomorphism
+
     a = load_structure(args.source)
     b = load_structure(args.target)
     if args.deadline is not None or args.budget is not None:
@@ -128,6 +128,9 @@ def _cmd_hom(args: argparse.Namespace) -> int:
 
 
 def _cmd_core(args: argparse.Namespace) -> int:
+    from .homomorphism import compute_core
+    from .structures import structure_to_json
+
     s = load_structure(args.structure)
     core = compute_core(s)
     print(f"structure: {s.size()} elements, {s.num_facts()} facts")
@@ -140,7 +143,9 @@ def _cmd_core(args: argparse.Namespace) -> int:
 
 
 def _cmd_treewidth(args: argparse.Namespace) -> int:
+    from .graphtheory import treewidth_exact
     from .resources import governed
+    from .structures import gaifman_graph
 
     s = load_structure(args.structure)
     graph = gaifman_graph(s)
@@ -163,6 +168,7 @@ def _cmd_treewidth(args: argparse.Namespace) -> int:
 
 def _cmd_rewrite(args: argparse.Namespace) -> int:
     from .core import rewrite_to_ucq
+    from .logic import parse_formula
     from .structures import random_structure
 
     vocabulary = _parse_relations(args.relations)
@@ -180,6 +186,8 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
 
 
 def _cmd_datalog(args: argparse.Namespace) -> int:
+    from .datalog import evaluate_semi_naive, parse_program
+
     structure = load_structure(args.structure)
     with open(args.program, "r", encoding="utf-8") as handle:
         text = handle.read()
@@ -195,6 +203,8 @@ def _cmd_datalog(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .pebble import duplicator_wins
+
     a = load_structure(args.source)
     b = load_structure(args.target)
     wins = duplicator_wins(a, b, args.pebbles)
@@ -204,6 +214,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_chandra_merlin(args: argparse.Namespace) -> int:
+    from .cq import canonical_query, chandra_merlin_check
+
     a = load_structure(args.source)
     b = load_structure(args.target)
     result = chandra_merlin_check(a, b)

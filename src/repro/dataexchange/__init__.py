@@ -7,13 +7,21 @@ st-tgds and the chase produce the canonical universal solution, and
 :func:`repro.homomorphism.cores.compute_core`.
 """
 
-from .tgds import (
-    SchemaMapping,
-    SourceToTargetTGD,
-    parse_mapping,
-    parse_tgd,
-)
-from .chase import (
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "tgds": (
+        "SchemaMapping", "SourceToTargetTGD", "parse_mapping", "parse_tgd",
+    ),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
+
+# Eager: ``chase`` names both a submodule and a function.  Once
+# the submodule is imported, the import system rebinds the package
+# attribute to the module, and a lazy binding would never run;
+# importing here keeps the function.
+from .chase import (  # noqa: E402
     CoreSolutionReport,
     chase,
     core_solution,

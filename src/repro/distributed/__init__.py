@@ -18,38 +18,29 @@ no locks — plain files under one shared directory:
   combined report equivalent to a single-host run.
 """
 
-from .journal import FencedShardJournal
-from .leases import (
-    CLAIMED,
-    DEFAULT_LEASE_TTL_S,
-    EXPIRED,
-    FREE,
-    RELEASED,
-    RUNNING,
-    Lease,
-    LeaseManager,
-)
-from .merge import (
-    MergeReport,
-    merge_journals,
-    normalize_results,
-    read_done_keys,
-    scan_shard_journal,
-    write_combined_journal,
-)
-from .runner import (
-    DEFAULT_SHARD_HARD_TIMEOUT_S,
-    LeaseHeartbeat,
-    ShardedSweepOutcome,
-    run_sharded_sweep,
-)
-from .sharding import (
-    assign_shard,
-    journal_path,
-    lease_path,
-    partition,
-    shard_journal_paths,
-)
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "journal": ("FencedShardJournal",),
+    "leases": (
+        "CLAIMED", "DEFAULT_LEASE_TTL_S", "EXPIRED", "FREE", "RELEASED",
+        "RUNNING", "Lease", "LeaseManager",
+    ),
+    "merge": (
+        "MergeReport", "merge_journals", "normalize_results", "read_done_keys",
+        "scan_shard_journal", "write_combined_journal",
+    ),
+    "runner": (
+        "DEFAULT_SHARD_HARD_TIMEOUT_S", "LeaseHeartbeat",
+        "ShardedSweepOutcome", "run_sharded_sweep",
+    ),
+    "sharding": (
+        "assign_shard", "journal_path", "lease_path", "partition",
+        "shard_journal_paths",
+    ),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __all__ = [
     "FencedShardJournal",

@@ -19,15 +19,16 @@ point for those queries:
   preservation, benchmarks) calls through.
 """
 
-from .cache import HomCache
-from .engine import (
-    HomEngine,
-    get_engine,
-    reset_engine,
-    set_engine,
-)
-from .fingerprint import structure_fingerprint
-from .instrumentation import GOVERNOR, GovernorStats, SolverStats
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "cache": ("HomCache",),
+    "engine": ("HomEngine", "get_engine", "reset_engine", "set_engine"),
+    "fingerprint": ("structure_fingerprint",),
+    "instrumentation": ("GOVERNOR", "GovernorStats", "SolverStats"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __all__ = [
     "GOVERNOR",

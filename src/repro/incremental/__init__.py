@@ -25,18 +25,22 @@ either way, only the work differs.  Counters live on
 ``python -m repro stats``.
 """
 
-from .datalog import IncrementalFixpoint
-from .delta import Delta, EditRecord, apply_delta
-from .fingerprint import (
-    fingerprint_with_history,
-    incremental_enabled,
-    incremental_fingerprint,
-)
-from .warm import (
-    IncrementalCoreSession,
-    IncrementalHomSession,
-    incremental_containment_session,
-)
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "datalog": ("IncrementalFixpoint",),
+    "delta": ("Delta", "EditRecord", "apply_delta"),
+    "fingerprint": (
+        "fingerprint_with_history", "incremental_enabled",
+        "incremental_fingerprint",
+    ),
+    "warm": (
+        "IncrementalCoreSession", "IncrementalHomSession",
+        "incremental_containment_session",
+    ),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __all__ = [
     "Delta",

@@ -46,18 +46,19 @@ reference solver remains the differential oracle and is selectable via
 ``--no-kernel`` flags.
 """
 
-from .batch import BatchSolveSession
-from .compile import CompiledRelation, CompiledTarget, CompiledTargetCache
-from .dp import (
-    DP_COST_CAP,
-    DP_EXACT_LIMIT,
-    DP_MAX_WIDTH,
-    DP_MIN_VARS,
-    DPPlan,
-    TreewidthDPSolver,
-    plan_dp,
-)
-from .solver import BitsetHomomorphismSolver, PropagationScratch
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "batch": ("BatchSolveSession",),
+    "compile": ("CompiledRelation", "CompiledTarget", "CompiledTargetCache"),
+    "dp": (
+        "DP_COST_CAP", "DP_EXACT_LIMIT", "DP_MAX_WIDTH", "DP_MIN_VARS",
+        "DPPlan", "TreewidthDPSolver", "plan_dp",
+    ),
+    "solver": ("BitsetHomomorphismSolver", "PropagationScratch"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __all__ = [
     "BatchSolveSession",

@@ -29,10 +29,16 @@ that combines the two — and keeps it alive when its own workers die:
   bench.
 """
 
-from .executor import SweepOutcome, run_sweep, serial_map
-from .retry import DEFAULT_RETRY_POLICY, RetryPolicy
-from .supervisor import SupervisorResult, SweepSupervisor
-from .sweeps import SWEEPS, Sweep, get_sweep
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "executor": ("SweepOutcome", "run_sweep", "serial_map"),
+    "retry": ("DEFAULT_RETRY_POLICY", "RetryPolicy"),
+    "supervisor": ("SupervisorResult", "SweepSupervisor"),
+    "sweeps": ("SWEEPS", "Sweep", "get_sweep"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __all__ = [
     "DEFAULT_RETRY_POLICY",

@@ -21,11 +21,13 @@ Concretely:
 * **Worker death** (SIGKILL, OOM kill, abrupt ``os._exit``) breaks the
   whole ``ProcessPoolExecutor``; the supervisor catches the
   ``BrokenProcessPool``, rebuilds the pool, and reschedules *only the
-  in-flight instances* — completed work is never redone, and each
-  in-flight instance is charged one :class:`WorkerCrashError` attempt
-  (the crasher cannot be singled out from the parent, but innocents
-  succeed on their retry while a poison instance exhausts its attempts
-  and is quarantined).
+  in-flight instances* — completed work is never redone.  A crash with
+  one instance in flight charges it one :class:`WorkerCrashError`
+  attempt.  A crash that takes down several cannot be pinned on one of
+  them from the parent, so it charges none: each reruns *alone*, with
+  nothing else in flight (counted in ``retries``), where a crash is its
+  own.  Innocents succeed on their rerun, and only a poison instance
+  accumulates attempts until it is quarantined.
 * **Non-cooperative hangs** never reach a cooperative ``checkpoint()``
   site, so the in-worker deadline cannot fire.  The supervisor's
   watchdog hard-kills the pool once a task has run
@@ -76,6 +78,8 @@ class _Unit:
 
     tracked: List[InstanceAttempts]
     not_before: float = 0.0
+    #: Run with nothing else in flight (a rerun after a shared crash).
+    alone: bool = False
 
     def chunk(self) -> List[Tuple[str, Any]]:
         return [(t.key, t.spec) for t in self.tracked]
@@ -123,8 +127,9 @@ class SweepSupervisor:
     hard_timeout_s:
         Explicit per-instance hard cap overriding the factor.
     pool_rebuild_limit:
-        Consecutive pool rebuilds without any completed record before
-        the supervisor gives up and degrades to serial.
+        Consecutive pool breaks that neither complete a record nor
+        charge any instance an attempt before the supervisor gives up
+        and degrades to serial.
     tick:
         Optional zero-argument callable invoked once per supervision
         loop iteration — the sharded runtime's lease heartbeat.  If the
@@ -163,6 +168,7 @@ class SweepSupervisor:
         self._pool = None
         self._blamed: set = set()
         self._kill_in_progress = False
+        self._fruitless_breaks = 0
 
     # ------------------------------------------------------------------
     # Pool lifecycle
@@ -220,7 +226,7 @@ class SweepSupervisor:
         )
         waiting: List[_Unit] = []
         in_flight: Dict[Any, Tuple[_Unit, float]] = {}
-        rebuilds_since_progress = 0
+        self._fruitless_breaks = 0
 
         try:
             self._pool = self._make_pool()
@@ -249,6 +255,10 @@ class SweepSupervisor:
                 # Fill the submission window (<= workers outstanding).
                 broke = None
                 while ready and len(in_flight) < self.workers:
+                    if in_flight and (ready[0].alone or any(
+                        u.alone for u, _ in in_flight.values()
+                    )):
+                        break
                     unit = ready.popleft()
                     try:
                         future = self._pool.submit(
@@ -265,7 +275,6 @@ class SweepSupervisor:
                     in_flight[future] = (unit, time.monotonic())
 
                 if broke is not None:
-                    rebuilds_since_progress += 1
                     victims = []
                     for future, flight in in_flight.items():
                         # Salvage futures that finished before the break
@@ -280,7 +289,6 @@ class SweepSupervisor:
                     in_flight.clear()
                     if not self._recover_pool(
                         broke, victims, ready, waiting, result,
-                        rebuilds_since_progress,
                     ):
                         result.leftover = self._drain(ready, waiting)
                         return result
@@ -311,7 +319,7 @@ class SweepSupervisor:
                     unit, started = in_flight.pop(future)
                     error = future.exception()
                     if error is None:
-                        rebuilds_since_progress = 0
+                        self._fruitless_breaks = 0
                         self._absorb_records(
                             future.result(), unit, ready, waiting, result
                         )
@@ -342,13 +350,11 @@ class SweepSupervisor:
                 if broke is not None:
                     # Every other in-flight future is doomed with the
                     # same broken pool; fold them into the victim set.
-                    rebuilds_since_progress += 1
                     result.worker_crashes += 1
                     victims = crashed + list(in_flight.values())
                     in_flight.clear()
                     if not self._recover_pool(
                         broke, victims, ready, waiting, result,
-                        rebuilds_since_progress,
                     ):
                         result.leftover = self._drain(ready, waiting)
                         return result
@@ -410,13 +416,15 @@ class SweepSupervisor:
         ready: deque,
         waiting: List[_Unit],
         result: SupervisorResult,
-        rebuilds_since_progress: int,
     ) -> bool:
         """Handle a broken pool: blame, reschedule, rebuild.
 
         Returns ``False`` when the pool cannot be rebuilt (or keeps
         breaking without progress) and the caller should degrade to the
-        serial path.
+        serial path.  A break that charges some instance an attempt is
+        progress: attempts are bounded, so such breaks cannot repeat
+        forever.  Only breaks that charge nobody (a shared crash, a
+        failed submit) count towards ``pool_rebuild_limit``.
         """
         killed = self._kill_in_progress
         self._kill_in_progress = False
@@ -429,6 +437,9 @@ class SweepSupervisor:
                 " after a watchdog hard-kill" if killed else "",
                 len(victim_keys), victim_keys,
             )
+        shared = not killed and len(victim_keys) > 1
+        reruns: List[_Unit] = []
+        charged_any = False
         now = time.monotonic()
         for unit, started in victims:
             elapsed = now - started
@@ -437,12 +448,16 @@ class SweepSupervisor:
                     charged = True  # watchdog already registered a fault
                 elif killed:
                     charged = False  # innocent bystander of our kill
+                elif shared:
+                    reruns.append(_Unit([tracked], alone=True))
+                    continue
                 else:
                     crash = WorkerCrashError(keys=unit.keys())
                     tracked.register_fault(
                         "WorkerCrashError", str(crash), None
                     )
                     charged = True
+                charged_any = charged_any or charged
                 if not charged:
                     self._schedule(tracked, ready, waiting, delay=0.0)
                 elif self.policy.should_retry(
@@ -452,12 +467,20 @@ class SweepSupervisor:
                 else:
                     self._quarantine(tracked, result, elapsed)
         self._blamed.clear()
+        # Shared-crash reruns go first, one at a time.
+        ready.extendleft(reversed(reruns))
+        result.retries += len(reruns)
+        GOVERNOR.retries += len(reruns)
+
+        self._fruitless_breaks = 0 if charged_any else (
+            self._fruitless_breaks + 1
+        )
 
         self._teardown_pool()
-        if rebuilds_since_progress > self.pool_rebuild_limit:
+        if self._fruitless_breaks > self.pool_rebuild_limit:
             log.warning(
                 "pool broke %d times without progress; degrading to "
-                "the serial path", rebuilds_since_progress,
+                "the serial path", self._fruitless_breaks,
             )
             return False
         try:

@@ -22,18 +22,18 @@ the supervised fault-tolerant parallel runtime built on top lives in
 :mod:`repro.parallel`.
 """
 
-from .checkpointing import JOURNAL_VERSION, SweepJournal
-from .governor import (
-    GOVERNOR,
-    PASSIVE_CONTEXT,
-    Budget,
-    Deadline,
-    GovernorStats,
-    RunContext,
-    current_context,
-    governed,
-)
-from .verdict import Trivalent, Verdict
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "checkpointing": ("JOURNAL_VERSION", "SweepJournal"),
+    "governor": (
+        "GOVERNOR", "PASSIVE_CONTEXT", "Budget", "Deadline", "GovernorStats",
+        "RunContext", "current_context", "governed",
+    ),
+    "verdict": ("Trivalent", "Verdict"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __all__ = [
     "Budget",

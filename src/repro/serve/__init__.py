@@ -30,29 +30,25 @@ server; overload sheds *before* compute; drain answers everything it
 interrupts with honest ``overloaded``/UNKNOWN frames.
 """
 
-from .admission import AdmissionController, AdmissionDecision, Ticket
-from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from .client import (
-    DEFAULT_CLIENT_RETRY_POLICY,
-    ServeClient,
-    containment_query,
-    core_query,
-    decode_witness,
-    equivalence_query,
-    health_check,
-    hom_query,
-    treewidth_query,
-)
-from .protocol import (
-    MAX_BATCH_QUERIES,
-    MAX_FRAME_BYTES,
-    Request,
-    decode_frame,
-    encode_frame,
-    parse_request,
-)
-from .server import ReproServer, ServerThread, run_server
-from .service import DecisionService
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "admission": ("AdmissionController", "AdmissionDecision", "Ticket"),
+    "breaker": ("CLOSED", "HALF_OPEN", "OPEN", "CircuitBreaker"),
+    "client": (
+        "DEFAULT_CLIENT_RETRY_POLICY", "ServeClient", "containment_query",
+        "core_query", "decode_witness", "equivalence_query", "health_check",
+        "hom_query", "treewidth_query",
+    ),
+    "protocol": (
+        "MAX_BATCH_QUERIES", "MAX_FRAME_BYTES", "Request", "decode_frame",
+        "encode_frame", "parse_request",
+    ),
+    "server": ("ReproServer", "ServerThread", "run_server"),
+    "service": ("DecisionService",),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __all__ = [
     "AdmissionController",

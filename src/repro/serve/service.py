@@ -46,10 +46,24 @@ from ..exceptions import (
     ServeProtocolError,
     ValidationError,
 )
-from ..structures.io import _encode_element, structure_to_dict
+from ..graphtheory.treewidth import treewidth_exact, treewidth_with_fallback
+from ..incremental.delta import Delta
+from ..incremental.warm import IncrementalHomSession
+from ..resources.verdict import Verdict
+from ..structures.gaifman import gaifman_graph
+from ..structures.io import (
+    _decode_element,
+    _encode_element,
+    structure_to_dict,
+)
 from ..structures.structure import Structure
 from .breaker import CircuitBreaker
 from .protocol import decode_structure
+
+# HomEngine.core imports these on first use; importing them with the
+# service keeps that import out of the first core request.
+from ..homomorphism import cores as _cores  # noqa: F401
+from ..kernel import batch as _batch  # noqa: F401
 
 #: Default cap on concurrently retained warm sessions.
 DEFAULT_MAX_SESSIONS = 128
@@ -102,8 +116,6 @@ def _decode_facts(raw, label: str):
                 f"pairs, got {item!r}",
                 code="bad-request",
             )
-        from ..structures.io import _decode_element
-
         facts.append(
             (item[0], tuple(_decode_element(e) for e in item[1]))
         )
@@ -112,9 +124,6 @@ def _decode_facts(raw, label: str):
 
 def decode_delta(raw: Any):
     """A :class:`~repro.incremental.Delta` from its wire form."""
-    from ..incremental.delta import Delta
-    from ..structures.io import _decode_element
-
     if not isinstance(raw, dict):
         raise ServeProtocolError(
             "edit queries need a 'delta' object", code="bad-request"
@@ -233,8 +242,6 @@ class DecisionService:
         except ResourceError as err:
             # A trip outside decide_homomorphism's net (core/treewidth/
             # edit paths): still an honest UNKNOWN, never an error.
-            from ..resources.verdict import Verdict
-
             SERVE.unknown_results += 1
             return {
                 "op": op,
@@ -292,8 +299,6 @@ class DecisionService:
         )
 
     def _op_equivalence(self, query: Dict[str, Any]) -> Dict[str, Any]:
-        from ..resources.verdict import Verdict
-
         q1 = decode_structure(query, "q1")
         q2 = decode_structure(query, "q2")
         if q1.vocabulary.relations != q2.vocabulary.relations:
@@ -318,8 +323,6 @@ class DecisionService:
 
     # -- core -------------------------------------------------------------
     def _op_core(self, query: Dict[str, Any]) -> Dict[str, Any]:
-        from ..resources.verdict import Verdict
-
         structure = decode_structure(query, "structure")
         engine = (
             self.engine
@@ -361,10 +364,6 @@ class DecisionService:
 
     # -- treewidth ----------------------------------------------------------
     def _op_treewidth(self, query: Dict[str, Any]) -> Dict[str, Any]:
-        from ..graphtheory import treewidth_exact, treewidth_with_fallback
-        from ..resources.verdict import Verdict
-        from ..structures import gaifman_graph
-
         structure = decode_structure(query, "structure")
         limit = query.get("limit", 40)
         if not isinstance(limit, int) or isinstance(limit, bool) \
@@ -406,8 +405,6 @@ class DecisionService:
         session = self.sessions.get(name)
         created = False
         if session is None:
-            from ..incremental import IncrementalHomSession
-
             source = decode_structure(query, "source")
             target = decode_structure(query, "target")
             session = IncrementalHomSession(

@@ -194,12 +194,15 @@ CAMPAIGN_TIMEOUT_S = 120
 
 def _campaign_worker(shard_dir, owner, barrier, queue, trials):
     """One contender: every trial, rendezvous at the barrier then race
-    to claim the same shard; a winner releases immediately so the next
-    trial starts from a released lease."""
+    to claim the same shard.  A winner holds the lease until both
+    contenders have tried (released any earlier, the loser could
+    legally claim it with the next fence), then releases it so the
+    next trial starts from a released lease."""
     manager = LeaseManager(shard_dir, owner, ttl_s=30.0)
     for trial in range(trials):
         barrier.wait(CAMPAIGN_TIMEOUT_S)
         lease = manager.claim(CAMPAIGN_SHARD)
+        barrier.wait(CAMPAIGN_TIMEOUT_S)  # both contenders have tried
         if lease is not None:
             manager.release(lease)
         queue.put((trial, owner, None if lease is None else lease.fence))

@@ -23,6 +23,7 @@ from repro.parallel import (
 )
 from repro.parallel.faults import faulty_task
 from repro.parallel.retry import INFRA_FAULTS, InstanceAttempts
+from repro.parallel.supervisor import SweepSupervisor
 from repro.parallel.sweeps import (
     build_graph,
     build_structure,
@@ -262,6 +263,50 @@ def test_poison_instance_is_quarantined_with_structured_verdict(tmp_path):
         journal=replay,
     )
     assert resumed.resumed == 3 and resumed.computed == 0
+
+
+def test_crash_shared_with_a_healthy_instance_charges_neither():
+    """A healthy instance that shares the pool with a crasher twice is
+    not quarantined: a crash with two instances in flight charges
+    neither, and each reruns alone, where only the crasher dies."""
+    outcome = run_sweep(
+        faulty_task,
+        [("slow", ("work", 0.5, 7)), ("poison", ("crash-always",))],
+        workers=2,
+        retry_policy=FAST_POLICY,
+    )
+    assert outcome.results["slow"]["status"] == "ok"
+    assert outcome.results["slow"]["result"] == {"value": 7}
+    record = outcome.results["poison"]
+    assert record["status"] == "quarantined"
+    assert record["error"] == "WorkerCrashError"
+    assert record["attempts"] == FAST_POLICY.max_attempts
+    assert outcome.quarantined == 1
+    assert outcome.retries >= 2  # both shared-crash victims reran
+
+
+@pytest.mark.parametrize("poisons, policy", [
+    (2, RetryPolicy()),
+    (3, RetryPolicy(max_attempts=2, base_delay=0.01, max_delay=0.05)),
+])
+def test_several_poison_instances_are_all_quarantined_in_the_pool(
+    poisons, policy
+):
+    """Alone reruns of several crashers break the pool once per
+    attempt.  Those breaks charge an attempt, so they are progress and
+    never trip ``pool_rebuild_limit``: every crasher is quarantined in
+    the pool and none is left over for the in-process serial path."""
+    pending = [(f"p{i}", ("crash-always",)) for i in range(poisons)]
+    phase = SweepSupervisor(
+        faulty_task, workers=poisons, retry_policy=policy,
+    ).run(pending)
+    assert phase.leftover == []
+    assert phase.quarantined == poisons
+    for key, _ in pending:
+        record = phase.completed[key]
+        assert record["status"] == "quarantined"
+        assert record["error"] == "WorkerCrashError"
+        assert record["attempts"] == policy.max_attempts
 
 
 def test_noncooperative_hang_is_hard_killed_within_grace(tmp_path):
