@@ -2,10 +2,13 @@
 
 Entries are keyed by canonical structure fingerprints (plus the query
 kind and options), so the key is stable under re-listing a structure's
-facts in any order.  Fingerprints are isomorphism-invariant but not a
-complete isomorphism test, so each key holds a *bucket* of entries
-whose structures are compared by ``==`` before a hit is returned: a
-fingerprint collision degrades to a miss, never to a wrong answer.
+facts in any order.  A fingerprint is a 64-bit tuple hash of a WL
+coloring, laid out as 32 hex characters and the same in every process
+(:mod:`repro.engine.fingerprint`).  It is isomorphism-invariant but
+neither a complete isomorphism test nor collision-free, so it is an
+index only: each key holds a *bucket* of entries whose structures are
+compared by ``==`` before a hit is returned, and a fingerprint
+collision degrades to a miss, never to a wrong answer.
 
 The cache is bounded two ways: ``maxsize`` caps the number of *keys*
 (the classic LRU bound) and ``max_entries`` caps the total number of
@@ -28,7 +31,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
-from .fingerprint import _DIGEST_SIZE
+from .fingerprint import HEX_LEN
 
 # A bucket entry: (structures the key was computed from, cached payload).
 _Entry = Tuple[Tuple[Any, ...], Any]
@@ -37,7 +40,7 @@ _Entry = Tuple[Tuple[Any, ...], Any]
 MISS = object()
 
 #: Hex length of a fingerprint component inside a cache key.
-_FP_HEX_LEN = 2 * _DIGEST_SIZE
+_FP_HEX_LEN = HEX_LEN
 
 
 def _fingerprint_components(key: Hashable) -> Tuple[str, ...]:

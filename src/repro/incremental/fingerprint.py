@@ -18,9 +18,11 @@ then
    frontier and copying every clean element's round-``k`` color out of
    the retained history, expanding the frontier by one adjacency hop
    per round, and
-3. hashes the final merged coloring through the *same* payload and
-   digest as the from-scratch path, so the incremental fingerprint is
-   bit-identical to :func:`structure_fingerprint` — the memo cache and
+3. colors every element with the *same* per-element helpers
+   (:func:`~repro.engine.fingerprint.seed_color`,
+   :func:`~repro.engine.fingerprint.refine_color`) and digest as the
+   from-scratch path, so the incremental fingerprint is bit-identical
+   to :func:`structure_fingerprint` — the memo cache and
    compiled-target cache cannot tell the difference.
 
 Exact fallback (a full recompute, never a wrong digest) happens when
@@ -33,7 +35,7 @@ Exact fallback (a full recompute, never a wrong digest) happens when
   (the edit deepened the refinement, so there are no old colors to
   reuse for the extra rounds).
 
-Correctness of reuse: an element's round-``k`` color is a digest of its
+Correctness of reuse: an element's round-``k`` color is a hash of its
 round-``k−1`` color and its incident facts' mates' round-``k−1``
 colors.  A *clean* element (never reached by the frontier) has
 identical incident facts in the old and new structures and only clean
@@ -50,9 +52,14 @@ from collections import Counter
 from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Set, Tuple
 
 from ..engine.fingerprint import (
-    _digest,
+    constant_codes,
+    fact_roles,
     fingerprint_from_colors,
+    incidence,
+    name_code,
+    refine_color,
     refinement_history,
+    seed_color,
 )
 from ..engine.instrumentation import INCREMENTAL
 
@@ -103,55 +110,13 @@ def _full_recompute(new: "Structure") -> Tuple[str, bool, int, int]:
     return fp, False, len(new.universe), len(new._wl_history) - 1
 
 
-def _seed_color(
-    element: Hashable,
-    incident: Dict[Hashable, List[Tuple[str, Tuple]]],
-    constant_names: Dict[Hashable, List[str]],
-) -> str:
-    """Replicates :func:`repro.engine.fingerprint._initial_colors` for
-    one element (same seed tuple, same digest)."""
-    counts: Counter = Counter()
-    for name, tup in incident[element]:
-        positions = tuple(i for i, x in enumerate(tup) if x == element)
-        counts[(name, positions)] += 1
-    seed = (
-        tuple(sorted(constant_names.get(element, ()))),
-        tuple(sorted(counts.items())),
-    )
-    return _digest(repr(seed))
-
-
-def _refine_color(
-    element: Hashable,
-    colors: Dict[Hashable, str],
-    incident: Dict[Hashable, List[Tuple[str, Tuple]]],
-) -> str:
-    """Replicates :func:`repro.engine.fingerprint._refine` for one
-    element (same signature tuples, same digest)."""
-    signatures = []
-    for name, tup in incident[element]:
-        fact_colors = tuple(colors[x] for x in tup)
-        positions = tuple(i for i, x in enumerate(tup) if x == element)
-        signatures.append((name, positions, fact_colors))
-    return _digest(repr((colors[element], tuple(sorted(signatures)))))
-
-
 def _build_adjacency(structure: "Structure"):
-    """Per-element incident-fact lists and adjacency sets, one pass
-    over the relations (``facts()`` sorts; ``relation()`` iteration
-    does not, and order is irrelevant here)."""
-    incident: Dict[Hashable, List[Tuple[str, Tuple]]] = {
-        e: [] for e in structure.universe
+    """Per-element incident facts (with roles) and adjacency sets."""
+    incident = incidence(structure)
+    neighbors = {
+        e: {x for _, tup in facts for x in tup}
+        for e, facts in incident.items()
     }
-    neighbors: Dict[Hashable, Set[Hashable]] = {
-        e: set() for e in structure.universe
-    }
-    for name in structure.vocabulary.relation_names:
-        for tup in structure.relation(name):
-            mates = set(tup)
-            for e in mates:
-                incident[e].append((name, tup))
-                neighbors[e] |= mates
     return incident, neighbors
 
 
@@ -169,26 +134,19 @@ def _advance_adjacency(old_adjacency, new: "Structure", delta):
     for e in delta.add_elements:
         incident[e] = []
         neighbors[e] = set()
-    rebuilt = set()
-    for name, tup in delta.add_facts:
-        rebuilt.update(tup)
-    for name, tup in delta.remove_facts:
-        rebuilt.update(tup)
-    rebuilt &= new.universe_set
-    removed_facts = set(delta.remove_facts)
-    added_facts = list(delta.add_facts)
-    for e in rebuilt:
-        facts = [
-            fact for fact in incident.get(e, ()) if fact not in removed_facts
-        ]
-        facts.extend(
-            (name, tup) for name, tup in added_facts if e in tup
-        )
+    added: Dict[Hashable, List] = {}
+    removed: Dict[Hashable, List] = {}
+    for facts, entries in ((delta.add_facts, added),
+                           (delta.remove_facts, removed)):
+        for name, tup in facts:
+            for e, role in fact_roles(name_code(name), tup):
+                entries.setdefault(e, []).append((role, tup))
+    for e in (added.keys() | removed.keys()) & new.universe_set:
+        gone = set(removed.get(e, ()))
+        facts = [fact for fact in incident.get(e, ()) if fact not in gone]
+        facts += added.get(e, ())
         incident[e] = facts
-        mates: Set[Hashable] = set()
-        for _, tup in facts:
-            mates.update(tup)
-        neighbors[e] = mates
+        neighbors[e] = {x for _, tup in facts for x in tup}
     return incident, neighbors
 
 
@@ -242,9 +200,7 @@ def incremental_fingerprint(
     else:
         incident, neighbors = _build_adjacency(new)
     new._wl_adjacency = (incident, neighbors)
-    constant_names: Dict[Hashable, List[str]] = {}
-    for cname, value in new.constants.items():
-        constant_names.setdefault(value, []).append(cname)
+    constants = constant_codes(new)
 
     def merge_round(old_colors, old_counter, recolor):
         """Clean elements keep their old round-``k`` color (C-level
@@ -275,7 +231,7 @@ def incremental_fingerprint(
     merged, counter = merge_round(
         old_history[0],
         old_counters[0],
-        lambda e: _seed_color(e, incident, constant_names),
+        lambda e: seed_color(e, incident, constants),
     )
     history = [merged]
     counters = [counter]
@@ -299,7 +255,7 @@ def incremental_fingerprint(
         merged, counter = merge_round(
             old_history[k],
             old_counters[k],
-            lambda e: _refine_color(e, prev, incident),
+            lambda e: refine_color(e, prev, incident),
         )
         history.append(merged)
         counters.append(counter)

@@ -6,9 +6,15 @@ less changes it), and its on-instance cache must be invalidated by the
 mutating operations (which return fresh instances with an empty slot).
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro.engine import structure_fingerprint
 from repro.structures import (
@@ -110,3 +116,49 @@ def test_fact_listing_order_is_irrelevant():
     a = Structure(GRAPH, [0, 1, 2], {"E": edges})
     b = Structure(GRAPH, [2, 1, 0], {"E": list(reversed(edges))})
     assert a.fingerprint() == b.fingerprint()
+
+
+#: Structures whose digests must not depend on the process: string
+#: elements, constants, a ternary relation with repeated elements and
+#: an isolated element, since ``str`` hashes are salted per process.
+FINGERPRINT_PROCESS = """
+import json
+from repro.structures import (
+    Structure, Vocabulary, grid_structure, random_structure,
+    undirected_cycle,
+)
+vocab = Vocabulary({"E": 2, "T": 3}, ["c", "d"])
+named = Structure(
+    vocab, ["a", "b", "c", "lonely"],
+    {"E": [("a", "b"), ("b", "c")], "T": [("a", "a", "c"), ("c", "b", "a")]},
+    {"c": "a", "d": "c"},
+)
+structures = [
+    named,
+    undirected_cycle(9),
+    grid_structure(3, 4),
+    random_structure(Vocabulary({"E": 2, "P": 1, "T": 3}), 6, 0.3, seed=4),
+]
+print(json.dumps([s.fingerprint() for s in structures]))
+"""
+
+
+def _fingerprints_with_hash_seed(seed):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+    done = subprocess.run(
+        [sys.executable, "-c", FINGERPRINT_PROCESS],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_fingerprint_is_the_same_in_every_process():
+    """Digests never hash a salted ``str``: two processes with different
+    ``PYTHONHASHSEED`` values agree on every structure."""
+    first = _fingerprints_with_hash_seed("1")
+    second = _fingerprints_with_hash_seed("2024")
+    assert first == second
+    assert len(set(first)) == len(first)
+    assert all(len(fp) == 32 and int(fp, 16) >= 0 for fp in first)

@@ -242,3 +242,53 @@ def test_decision_service_imports_its_ops_at_construction():
                    "repro.incremental.warm"):       # warm sessions
         assert module in built
     assert imported_by_requests == []
+
+
+#: Each engine path that keys on fingerprints, run in a fresh process;
+#: the last expression must be true when the path did what it names.
+HASH_FREE_PATHS = {
+    "cold-dp": """
+        from repro.engine import HomEngine
+        from repro.structures import clique_structure, undirected_cycle
+        engine = HomEngine()
+        refuted = engine.find_homomorphism(
+            undirected_cycle(31), clique_structure(2)) is None
+        ok = refuted and engine.stats.dp_solves == 1
+    """,
+    "cold-search": """
+        from repro.engine import HomEngine
+        from repro.structures import clique_structure, undirected_cycle
+        engine = HomEngine(use_dp=False)
+        ok = engine.find_homomorphism(
+            undirected_cycle(12), clique_structure(2)) is not None
+    """,
+    "warm-hit": """
+        from repro.engine import HomEngine
+        from repro.structures import clique_structure, grid_structure
+        engine = HomEngine()
+        engine.find_homomorphism(grid_structure(4, 4), clique_structure(3))
+        engine.find_homomorphism(grid_structure(4, 4), clique_structure(3))
+        ok = engine.stats.cache_hits == 1
+    """,
+    "edit": """
+        from repro.incremental.delta import Delta, apply_delta
+        from repro.structures import undirected_cycle
+        edited, record = apply_delta(
+            undirected_cycle(40), Delta(add_facts=(("E", (0, 2)),)))
+        edited, record = apply_delta(
+            edited, Delta(remove_facts=(("E", (0, 2)),)))
+        ok = record.incremental and edited == undirected_cycle(40)
+    """,
+}
+
+
+@pytest.mark.parametrize("path", sorted(HASH_FREE_PATHS))
+def test_fingerprint_paths_load_no_hashlib(path):
+    """Fingerprints are ints hashed by ``hash()``: no engine path loads
+    ``hashlib`` or OpenSSL's ``_hashlib`` (≈3.6 MB of RSS)."""
+    result = run_fresh(HASH_FREE_PATHS[path] + """
+        import json, sys
+        print(json.dumps([ok, sorted(m for m in ("hashlib", "_hashlib")
+                                     if m in sys.modules)]))
+    """)
+    assert result == [True, []]
