@@ -8,9 +8,9 @@ point for those queries:
 * :mod:`repro.engine.fingerprint` — a canonical, order-invariant
   fingerprint of a structure (isomorphism-invariant by construction),
   cached on :class:`~repro.structures.structure.Structure`;
-* :mod:`repro.engine.cache` — an LRU memo cache keyed by fingerprint
-  pairs, with equality-verified buckets so hash collisions can never
-  produce a wrong answer, and explicit invalidation;
+* :mod:`repro.engine.cache` — the caching rule every structure-keyed
+  cache follows (fingerprint keys, equality-verified buckets, LRU
+  bounds, fingerprint invalidation) and the memo cache built on it;
 * :mod:`repro.engine.instrumentation` — per-call solver counters
   (backtracks, search nodes, AC-3 prunings, cache hits/misses) and
   timers, dumped as JSON by ``python -m repro stats``;

@@ -1,74 +1,88 @@
-"""LRU memo cache for homomorphism and core queries.
+"""The one caching rule behind every structure-keyed cache.
 
-Entries are keyed by canonical structure fingerprints (plus the query
-kind and options), so the key is stable under re-listing a structure's
-facts in any order.  A fingerprint is a 64-bit tuple hash of a WL
-coloring, laid out as 32 hex characters and the same in every process
-(:mod:`repro.engine.fingerprint`).  It is isomorphism-invariant but
-neither a complete isomorphism test nor collision-free, so it is an
-index only: each key holds a *bucket* of entries whose structures are
-compared by ``==`` before a hit is returned, and a fingerprint
-collision degrades to a miss, never to a wrong answer.
+Five caches share it, each a :class:`VerifiedLRU`: the hom engine's
+memo (:class:`HomCache`), the kernel's compiled targets
+(:class:`~repro.kernel.compile.CompiledTargetCache`), the reference
+solver's target indexes
+(:func:`~repro.homomorphism.search.target_index_for`), a batch
+session's query memo (:class:`~repro.kernel.batch.BatchSolveSession`)
+and the serve warm-session table
+(:class:`~repro.serve.service.DecisionService`, keyed by name).
 
-The cache is bounded two ways: ``maxsize`` caps the number of *keys*
-(the classic LRU bound) and ``max_entries`` caps the total number of
-*entries* across all buckets — the quantity that actually measures
-memory, since a fingerprint collision grows a bucket without adding a
-key.  Both bounds evict least-recently-used keys; the entry count is
-maintained incrementally so ``len(cache)`` is O(1).
-
-Invalidation is explicit and fingerprint-indexed:
-:meth:`HomCache.invalidate` drops every entry whose key involves a
-given structure's fingerprint in O(matching keys) — a secondary index
-maps each fingerprint component to the keys mentioning it, which is
-what lets the incremental engine's edit invalidation evict only the
-entries whose side actually changed instead of scanning (or clearing)
-the whole cache.  :meth:`HomCache.clear` still empties everything.
+* **Key by fingerprint, confirm by equality.**  Keys hold canonical
+  structure fingerprints (plus the query kind and options), so a key is
+  stable under re-listing a structure's facts in any order.  A
+  fingerprint is a 64-bit tuple hash of a WL coloring, laid out as 32
+  hex characters and the same in every process
+  (:mod:`repro.engine.fingerprint`).  It is isomorphism-invariant but
+  neither a complete isomorphism test nor collision-free, so it is an
+  index only: each key holds a *bucket* of entries whose *witnesses*
+  (the structures the key was computed from) are compared by ``==``
+  before a hit is returned.  A collision costs a miss, never a wrong
+  answer or a borrowed element table.
+* **Bounded, least recently used out first.**  ``maxsize`` caps the
+  number of keys and ``max_entries`` the entries across all buckets —
+  the quantity that measures memory, since a collision grows a bucket
+  without adding a key.  Both bounds evict whole keys, oldest use
+  first; the entry count is kept incrementally, so ``len()`` is O(1).
+  ``bucket_size`` caps one bucket: a new entry for a full bucket
+  replaces its oldest.  The memo's buckets are capped only by
+  ``max_entries``; the other caches keep one entry per key, so a
+  colliding structure takes over the slot.
+* **Invalidate by fingerprint.**  A secondary index maps every
+  fingerprint-shaped key component to the keys mentioning it, so
+  :meth:`VerifiedLRU.invalidate` drops exactly the entries involving
+  one structure in O(matching keys).  The incremental engine's edit
+  invalidation relies on it to evict only the side that changed.
+  :meth:`VerifiedLRU.clear` empties everything.
+* **One lock, own counters.**  Every operation runs under the cache's
+  lock.  Hits, misses, evictions and invalidations are counted per
+  cache; :meth:`VerifiedLRU.clear` keeps them and
+  :meth:`VerifiedLRU.reset_counters` zeroes them.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 from .fingerprint import HEX_LEN
 
-# A bucket entry: (structures the key was computed from, cached payload).
+# A bucket entry: (witnesses the key was computed from, cached value).
 _Entry = Tuple[Tuple[Any, ...], Any]
 
-#: Sentinel distinguishing "miss" from a cached ``None`` payload.
+#: Sentinel distinguishing "miss" from a cached ``None`` value.
 MISS = object()
-
-#: Hex length of a fingerprint component inside a cache key.
-_FP_HEX_LEN = HEX_LEN
 
 
 def _fingerprint_components(key: Hashable) -> Tuple[str, ...]:
-    """The fingerprint-shaped components of a cache key (what the
-    secondary invalidation index is keyed by)."""
-    if not isinstance(key, tuple):
-        return ()
-    return tuple(
-        c for c in key if isinstance(c, str) and len(c) == _FP_HEX_LEN
-    )
+    """The fingerprint-shaped components of a key (a bare fingerprint
+    or the fingerprints inside a tuple) — what invalidation indexes."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return tuple(c for c in parts if isinstance(c, str) and len(c) == HEX_LEN)
 
 
-class HomCache:
-    """A bounded LRU cache keyed by fingerprint tuples.
+class VerifiedLRU:
+    """A bounded, equality-verified, fingerprint-invalidated LRU cache.
 
     Parameters
     ----------
     maxsize:
-        Maximum number of keys retained (least-recently-used eviction).
-        ``0`` disables storage (every lookup misses).
+        Maximum number of keys retained.  ``0`` disables storage (every
+        lookup misses).
     max_entries:
         Maximum total entries across all buckets; defaults to
-        ``2 * maxsize`` (so collision buckets cannot grow the cache
-        unboundedly even when the key count is under ``maxsize``).
+        ``2 * maxsize``.
+    bucket_size:
+        Maximum entries under one key (``None``: no cap of its own).
     """
 
     def __init__(
-        self, maxsize: int = 4096, max_entries: Optional[int] = None
+        self,
+        maxsize: int,
+        max_entries: Optional[int] = None,
+        bucket_size: Optional[int] = None,
     ) -> None:
         if maxsize < 0:
             raise ValueError("maxsize must be non-negative")
@@ -78,65 +92,88 @@ class HomCache:
             raise ValueError("max_entries must be non-negative")
         self.maxsize = maxsize
         self.max_entries = max_entries
+        self.bucket_size = bucket_size
         self._data: "OrderedDict[Hashable, List[_Entry]]" = OrderedDict()
         self._entries = 0
         self._by_fingerprint: Dict[str, Set[Hashable]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
+        self._lock = threading.Lock()
+        self.reset_counters()
 
     def __len__(self) -> int:
         return self._entries
 
+    def reset_counters(self) -> None:
+        """Zero the hit/miss/eviction/invalidation counters (entries
+        survive)."""
+        with self._lock:
+            self.hits = 0
+            self.misses = 0
+            self.evictions = 0
+            self.invalidations = 0
+
     # ------------------------------------------------------------------
     def get(self, key: Hashable, witnesses: Tuple[Any, ...]) -> Any:
-        """The payload cached under ``key`` for ``witnesses``, or ``MISS``.
+        """The value cached under ``key`` for ``witnesses``, or ``MISS``."""
+        with self._lock:
+            bucket = self._data.get(key)
+            if bucket is not None:
+                for stored, value in bucket:
+                    if stored == witnesses:
+                        self._data.move_to_end(key)
+                        self.hits += 1
+                        return value
+            self.misses += 1
+            return MISS
 
-        ``witnesses`` are the structures the key's fingerprints were
-        computed from; the stored entry must match them by equality.
-        """
-        bucket = self._data.get(key)
-        if bucket is not None:
-            for stored, payload in bucket:
-                if stored == witnesses:
-                    self._data.move_to_end(key)
-                    self.hits += 1
-                    return payload
-        self.misses += 1
-        return MISS
-
-    def put(self, key: Hashable, witnesses: Tuple[Any, ...], payload: Any) -> None:
-        """Store ``payload`` under ``key`` for ``witnesses``."""
+    def put(self, key: Hashable, witnesses: Tuple[Any, ...], value: Any) -> None:
+        """Store ``value`` under ``key`` for ``witnesses``."""
         if self.maxsize == 0 or self.max_entries == 0:
             return
-        bucket = self._data.get(key)
-        if bucket is None:
-            self._data[key] = [(witnesses, payload)]
-            self._entries += 1
-            for fp in _fingerprint_components(key):
-                self._by_fingerprint.setdefault(fp, set()).add(key)
-        else:
-            for i, (stored, _) in enumerate(bucket):
-                if stored == witnesses:
-                    bucket[i] = (witnesses, payload)
-                    break
-            else:
-                bucket.append((witnesses, payload))
+        with self._lock:
+            bucket = self._data.get(key)
+            if bucket is None:
+                self._data[key] = [(witnesses, value)]
                 self._entries += 1
-            self._data.move_to_end(key)
-        while self._data and (
-            len(self._data) > self.maxsize or self._entries > self.max_entries
-        ):
-            self._evict_lru()
+                for fp in _fingerprint_components(key):
+                    self._by_fingerprint.setdefault(fp, set()).add(key)
+            else:
+                for i, (stored, _) in enumerate(bucket):
+                    if stored == witnesses:
+                        bucket[i] = (witnesses, value)
+                        break
+                else:
+                    if len(bucket) == self.bucket_size:
+                        del bucket[0]
+                    else:
+                        self._entries += 1
+                    bucket.append((witnesses, value))
+                self._data.move_to_end(key)
+            while self._data and (
+                len(self._data) > self.maxsize
+                or self._entries > self.max_entries
+            ):
+                self._drop(next(iter(self._data)))
+                self.evictions += 1
 
-    def _evict_lru(self) -> None:
-        key, bucket = self._data.popitem(last=False)
-        self._entries -= len(bucket)
-        self._unindex(key)
-        self.evictions += 1
+    def invalidate(self, fingerprint: str) -> int:
+        """Drop every entry whose key mentions ``fingerprint``; returns
+        the number of keys removed."""
+        with self._lock:
+            doomed = list(self._by_fingerprint.get(fingerprint, ()))
+            for key in doomed:
+                self._drop(key)
+            self.invalidations += len(doomed)
+            return len(doomed)
 
-    def _unindex(self, key: Hashable) -> None:
+    def clear(self) -> None:
+        """Empty the cache (counters are kept)."""
+        with self._lock:
+            self._data.clear()
+            self._by_fingerprint.clear()
+            self._entries = 0
+
+    def _drop(self, key: Hashable) -> None:
+        self._entries -= len(self._data.pop(key))
         for fp in _fingerprint_components(key):
             keys = self._by_fingerprint.get(fp)
             if keys is not None:
@@ -144,28 +181,20 @@ class HomCache:
                 if not keys:
                     del self._by_fingerprint[fp]
 
-    # ------------------------------------------------------------------
-    def invalidate(self, fingerprint: str) -> int:
-        """Drop every entry whose key mentions ``fingerprint``.
 
-        O(matching keys) via the secondary fingerprint index (not a
-        scan of the whole cache); returns the number of keys removed.
-        """
-        doomed = list(self._by_fingerprint.get(fingerprint, ()))
-        for key in doomed:
-            bucket = self._data.pop(key)
-            self._entries -= len(bucket)
-            self._unindex(key)
-        self.invalidations += len(doomed)
-        return len(doomed)
+class HomCache(VerifiedLRU):
+    """The hom engine's memo: hom and core answers keyed by
+    ``(kind, fingerprint(s), options…)``.
 
-    def clear(self) -> None:
-        """Empty the cache (counters are preserved)."""
-        self._data.clear()
-        self._by_fingerprint.clear()
-        self._entries = 0
+    The memo is the only caller of :meth:`get` and :meth:`put` on this
+    class, so patching them observes memo lookups alone.
+    """
 
-    # ------------------------------------------------------------------
+    def __init__(
+        self, maxsize: int = 4096, max_entries: Optional[int] = None
+    ) -> None:
+        super().__init__(maxsize, max_entries)
+
     def snapshot(self) -> Dict[str, object]:
         """JSON-serializable cache statistics."""
         looked_up = self.hits + self.misses

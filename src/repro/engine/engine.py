@@ -411,10 +411,7 @@ class HomEngine:
         target cache's counters, and every process-global counter
         family (governor, incremental, distributed/lease/journal)."""
         self.stats.reset()
-        self.cache.hits = 0
-        self.cache.misses = 0
-        self.cache.evictions = 0
-        self.cache.invalidations = 0
+        self.cache.reset_counters()
         self.compiled_targets.reset_counters()
         GOVERNOR.reset()
         INCREMENTAL.reset()

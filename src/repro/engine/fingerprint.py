@@ -44,7 +44,8 @@ is what invalidates the cached value).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, List, Tuple
+from collections import deque
+from typing import TYPE_CHECKING, Dict, Hashable, Iterator, List, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..structures.structure import Structure
@@ -132,13 +133,33 @@ def refine_color(
     return hash((colors[element], *signatures))
 
 
-def refinement_history(structure: "Structure") -> List[Dict[Hashable, int]]:
-    """The full color-refinement run as a per-round list of colorings.
+def refinement_rounds(structure: "Structure") -> Iterator[Dict[Hashable, int]]:
+    """The color-refinement run, one coloring per round.
 
-    ``history[0]`` is the seed coloring, ``history[k]`` the coloring
-    after ``k`` refinement rounds; ``history[-1]`` is the stable
-    coloring the fingerprint hashes.  Refinement stops when the number
-    of color classes stops growing (at most ``|A|`` rounds).
+    The first coloring is the seed, the ``k``-th after it the coloring
+    after ``k`` refinement rounds, and the last one the stable coloring
+    the fingerprint hashes.  Refinement stops when the number of color
+    classes stops growing (at most ``|A|`` rounds).  A consumer that
+    keeps only the latest coloring holds two rounds at a time.
+    """
+    universe = structure.universe
+    incident = incidence(structure)
+    constants = constant_codes(structure)
+    colors = {e: seed_color(e, incident, constants) for e in universe}
+    yield colors
+    num_classes = len(set(colors.values()))
+    for _ in range(len(universe)):
+        colors = {e: refine_color(e, colors, incident) for e in universe}
+        yield colors
+        refined_classes = len(set(colors.values()))
+        if refined_classes == num_classes:
+            break
+        num_classes = refined_classes
+
+
+def refinement_history(structure: "Structure") -> List[Dict[Hashable, int]]:
+    """Every coloring of :func:`refinement_rounds` as a list:
+    ``history[k]`` is the coloring after ``k`` rounds.
 
     The incremental engine (:mod:`repro.incremental.fingerprint`)
     retains this history on edited structures so a later edit can
@@ -146,27 +167,14 @@ def refinement_history(structure: "Structure") -> List[Dict[Hashable, int]]:
     element's round-``k`` color is read from ``history[k]`` instead of
     being recomputed.
     """
-    universe = structure.universe
-    incident = incidence(structure)
-    constants = constant_codes(structure)
-    colors = {e: seed_color(e, incident, constants) for e in universe}
-    history = [colors]
-    num_classes = len(set(colors.values()))
-    for _ in range(len(universe)):
-        colors = {e: refine_color(e, colors, incident) for e in universe}
-        history.append(colors)
-        refined_classes = len(set(colors.values()))
-        if refined_classes == num_classes:
-            break
-        num_classes = refined_classes
-    return history
+    return list(refinement_rounds(structure))
 
 
 def fingerprint_from_colors(
     structure: "Structure", colors: Dict[Hashable, int]
 ) -> str:
-    """The digest of a stable coloring of ``structure`` (the last entry
-    of :func:`refinement_history`): one hash of the vocabulary, the
+    """The digest of a stable coloring of ``structure`` (the last one
+    :func:`refinement_rounds` yields): one hash of the vocabulary, the
     size and the sorted color multisets of elements, facts and
     constants, as 32 hex characters."""
     relations = structure.vocabulary.relations
@@ -199,6 +207,5 @@ def structure_fingerprint(structure: "Structure") -> str:
     and hashes the vocabulary together with the final color multisets
     of elements, facts and constants.
     """
-    return fingerprint_from_colors(
-        structure, refinement_history(structure)[-1]
-    )
+    (stable,) = deque(refinement_rounds(structure), maxlen=1)
+    return fingerprint_from_colors(structure, stable)

@@ -23,8 +23,7 @@ or budget interrupts the search with a typed
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict, defaultdict
+from collections import defaultdict
 from typing import (
     Dict,
     FrozenSet,
@@ -37,6 +36,7 @@ from typing import (
     Tuple,
 )
 
+from ..engine.cache import MISS, VerifiedLRU
 from ..exceptions import ValidationError
 from ..resources.governor import RunContext, current_context
 from ..structures.structure import Element, Structure, Tup
@@ -121,33 +121,18 @@ class _TargetIndex:
         return self._twins
 
 
-#: Per-target index reuse: core-retraction loops and containment batches
-#: issue many searches against the same (or a recurring) target, and the
-#: per-position indexes only depend on the target.  Keyed by the WL
-#: fingerprint with equality verification (fingerprints are isomorphism-
-#: invariant, so a colliding isomorphic-but-different structure rebuilds
-#: and takes over the slot instead of borrowing wrong element tables).
-_INDEX_CACHE_SIZE = 256
-_INDEX_CACHE: "OrderedDict[str, Tuple[Structure, _TargetIndex]]" = (
-    OrderedDict()
-)
-_INDEX_LOCK = threading.Lock()
+#: Target indexes, reused across the many searches that core-retraction
+#: loops and containment batches issue against one target.
+_INDEX_CACHE = VerifiedLRU(256, bucket_size=1)
 
 
 def target_index_for(target: Structure) -> _TargetIndex:
     """The (cached) :class:`_TargetIndex` of ``target``."""
-    key = target.fingerprint()
-    with _INDEX_LOCK:
-        entry = _INDEX_CACHE.get(key)
-        if entry is not None and entry[0] == target:
-            _INDEX_CACHE.move_to_end(key)
-            return entry[1]
-    index = _TargetIndex(target)
-    with _INDEX_LOCK:
-        _INDEX_CACHE[key] = (target, index)
-        _INDEX_CACHE.move_to_end(key)
-        while len(_INDEX_CACHE) > _INDEX_CACHE_SIZE:
-            _INDEX_CACHE.popitem(last=False)
+    key, witnesses = target.fingerprint(), (target,)
+    index = _INDEX_CACHE.get(key, witnesses)
+    if index is MISS:
+        index = _TargetIndex(target)
+        _INDEX_CACHE.put(key, witnesses, index)
     return index
 
 

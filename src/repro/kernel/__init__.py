@@ -11,8 +11,8 @@ default:
   memoized per-position-group supports, so "which target tuples can put
   value ``v`` at the positions of variable ``x``" is one dict lookup.
   :class:`~repro.kernel.compile.CompiledTargetCache` keeps compiled
-  targets keyed by the structure's WL fingerprint (equality-verified),
-  so core-retraction loops and containment batches that re-query one
+  targets (the caching rule is :mod:`repro.engine.cache`'s), so
+  core-retraction loops and containment batches that re-query one
   target compile it exactly once.
 * :mod:`repro.kernel.solver` — MAC search over integer bitmask domains:
   MRV by ``int.bit_count()``, propagation as masked intersections over

@@ -18,9 +18,8 @@ per-query loop:
   deque + membership set) is threaded through every solve, so the batch
   stops churning fresh containers per propagation pass;
 * repeated ``(source, options)`` queries within the session are
-  answered from a small equality-verified memo instead of re-searching
-  (fingerprints are isomorphism-invariant, so a hit is only served
-  after checking the stored source equals the queried one).
+  answered from a session memo of :data:`SESSION_MEMO_SIZE` keys (a
+  :class:`~repro.engine.cache.VerifiedLRU`) instead of re-searching.
 
 Sessions are single-threaded by design — the shared scratch buffers
 make concurrent solves unsafe — and they preserve the governance
@@ -31,12 +30,16 @@ deadline can interrupt a batch between (or inside) queries.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Iterable, List, Mapping, Optional, Union
 
+from ..engine.cache import MISS, VerifiedLRU
 from ..resources.governor import RunContext, current_context
 from ..structures.structure import Element, Structure
 from .compile import CompiledTarget, CompiledTargetCache
 from .solver import BitsetHomomorphismSolver, Homomorphism, PropagationScratch
+
+#: Distinct (source, options) queries a session's memo retains.
+SESSION_MEMO_SIZE = 4096
 
 
 class BatchSolveSession:
@@ -83,9 +86,9 @@ class BatchSolveSession:
         self.stats = stats
         self._context = context
         self.scratch = PropagationScratch()
-        # Session memo: equality-verified, keyed by (source fingerprint,
-        # options).  Witnesses are stored once and copied out per hit.
-        self._memo: Dict[tuple, Tuple[Structure, Optional[Homomorphism]]] = {}
+        # Keyed by (source fingerprint, options); witnesses are stored
+        # once and copied out per hit.
+        self._memo = VerifiedLRU(SESSION_MEMO_SIZE, bucket_size=1)
         if stats is not None:
             stats.batch_calls += 1
 
@@ -126,11 +129,10 @@ class BatchSolveSession:
             forbidden,
             propagate,
         )
-        hit = self._memo.get(key)
-        if hit is not None and hit[0] == source:
+        witness = self._memo.get(key, (source,))
+        if witness is not MISS:
             if stats is not None:
                 stats.batch_dedup_hits += 1
-            witness = hit[1]
             return dict(witness) if witness is not None else None
         solver = BitsetHomomorphismSolver(
             source,
@@ -144,7 +146,7 @@ class BatchSolveSession:
             scratch=self.scratch,
         )
         witness = solver.first()
-        self._memo[key] = (source, witness)
+        self._memo.put(key, (source,), witness)
         return dict(witness) if witness is not None else None
 
     def solve_all(

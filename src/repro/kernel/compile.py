@@ -9,20 +9,15 @@ support tables map an element index to the bitmask of tuples carrying
 it at that position.
 
 Compilation is pure target-side work — it never looks at a source — so
-one compiled target serves every query against that target.
-:class:`CompiledTargetCache` memoizes compilation on the structure's
-canonical WL fingerprint with equality verification (fingerprints are
-isomorphism-invariant, so two distinct-but-isomorphic structures may
-share one; equality checking makes a collision cost a rebuild, never a
-wrong element table).
+one compiled target serves every query against that target, and
+:class:`CompiledTargetCache` keeps it.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
+from ..engine.cache import MISS, VerifiedLRU
 from ..structures.structure import Element, Structure
 from ..structures.twins import twin_classes
 
@@ -175,26 +170,14 @@ class CompiledTarget:
         return len(self.elements)
 
 
-class CompiledTargetCache:
-    """LRU cache of compiled targets keyed by WL fingerprint.
-
-    Fingerprints are isomorphism-invariant, so a hit is only served
-    after verifying the stored structure *equals* the queried one —
-    a colliding isomorphic-but-different structure recompiles (and
-    takes over the slot) instead of silently borrowing a wrong element
-    interning.  Thread-safe; the ``evict`` chaos fault clears it the
-    same way it clears the memo cache.
+class CompiledTargetCache(VerifiedLRU):
+    """Compiled targets keyed by the target's fingerprint, one per key,
+    under the caching rule of :mod:`repro.engine.cache`.  The ``evict``
+    chaos fault clears it the same way it clears the memo cache.
     """
 
     def __init__(self, capacity: int = DEFAULT_COMPILED_CACHE_SIZE) -> None:
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, CompiledTarget]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        super().__init__(capacity, bucket_size=1)
 
     def get(self, target: Structure, stats=None) -> CompiledTarget:
         """The compiled form of ``target``, compiling on a miss.
@@ -203,62 +186,22 @@ class CompiledTargetCache:
         ``kernel_compile_hits`` / ``kernel_compilations`` attributes
         (e.g. :class:`repro.engine.instrumentation.SolverStats`).
         """
-        key = target.fingerprint()
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry.structure == target:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                if stats is not None:
-                    stats.kernel_compile_hits += 1
-                return entry
-        compiled = CompiledTarget(target)
-        with self._lock:
-            self.misses += 1
+        key, witnesses = target.fingerprint(), (target,)
+        compiled = super().get(key, witnesses)
+        if compiled is MISS:
+            compiled = CompiledTarget(target)
+            self.put(key, witnesses, compiled)
             if stats is not None:
                 stats.kernel_compilations += 1
-            self._entries[key] = compiled
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+        elif stats is not None:
+            stats.kernel_compile_hits += 1
         return compiled
-
-    def invalidate(self, fingerprint: str) -> int:
-        """Drop the compiled target interned under ``fingerprint``.
-
-        The fine-grained edit-invalidation path calls this with the
-        *old* fingerprint of an edited structure, so only the stale
-        compilation is evicted — every other target stays warm (the
-        old clear-everything policy cost a recompilation per live
-        target after each edit).  Returns the number of entries
-        dropped (0 or 1).
-        """
-        with self._lock:
-            if self._entries.pop(fingerprint, None) is not None:
-                return 1
-            return 0
-
-    def clear(self) -> None:
-        """Drop every compiled target (counters survive)."""
-        with self._lock:
-            self._entries.clear()
-
-    def reset_counters(self) -> None:
-        """Zero the hit/miss counters (entries survive).
-
-        The engine's ``reset_stats`` path calls this so ``repro stats``
-        baselines really start from zero — compiled targets stay warm,
-        only the observability state resets.
-        """
-        with self._lock:
-            self.hits = 0
-            self.misses = 0
 
     def snapshot(self) -> Dict[str, object]:
         """JSON-serializable counters."""
         return {
-            "capacity": self.capacity,
-            "entries": len(self._entries),
+            "capacity": self.maxsize,
+            "entries": len(self),
             "hits": self.hits,
             "misses": self.misses,
         }

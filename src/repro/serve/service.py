@@ -35,9 +35,9 @@ of a homomorphism ``canonical(q2) → canonical(q1)``.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Callable, Dict, Mapping, Optional
 
+from ..engine.cache import MISS, VerifiedLRU
 from ..engine.engine import HomEngine
 from ..engine.instrumentation import SERVE
 from ..exceptions import (
@@ -182,8 +182,9 @@ class DecisionService:
         self.fallback.cache = engine.cache
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.kernel_fault_injector = kernel_fault_injector
-        self.max_sessions = max_sessions
-        self.sessions: "OrderedDict[str, Any]" = OrderedDict()
+        # Keyed by session name; the name is the whole identity, so
+        # entries carry no witnesses.
+        self.sessions = VerifiedLRU(max_sessions)
 
     # ------------------------------------------------------------------
     # Breaker-routed homomorphism decision
@@ -402,19 +403,15 @@ class DecisionService:
             raise ServeProtocolError(
                 "session must be a non-empty string", code="bad-request"
             )
-        session = self.sessions.get(name)
-        created = False
-        if session is None:
+        session = self.sessions.get(name, ())
+        created = session is MISS
+        if created:
             source = decode_structure(query, "source")
             target = decode_structure(query, "target")
             session = IncrementalHomSession(
                 source, target, engine=self.engine
             )
-            self.sessions[name] = session
-            created = True
-            while len(self.sessions) > self.max_sessions:
-                self.sessions.popitem(last=False)
-        self.sessions.move_to_end(name)
+            self.sessions.put(name, (), session)
         verdict = session.decide()
         entry = self._verdict_entry("hom", verdict, encode_mapping=True)
         entry["session"] = name
@@ -423,7 +420,8 @@ class DecisionService:
 
     def _op_edit(self, query: Dict[str, Any]) -> Dict[str, Any]:
         name = query.get("session")
-        if not isinstance(name, str) or name not in self.sessions:
+        session = self.sessions.get(name, ()) if isinstance(name, str) else MISS
+        if session is MISS:
             raise ServeProtocolError(
                 f"unknown session {name!r}; create one with a hom query "
                 "carrying a 'session' field",
@@ -435,8 +433,6 @@ class DecisionService:
                 f"edit side must be 'source' or 'target', got {side!r}",
                 code="bad-request",
             )
-        session = self.sessions[name]
-        self.sessions.move_to_end(name)
         delta = decode_delta(query.get("delta"))
         if side == "source":
             verdict = session.edit_source(delta)

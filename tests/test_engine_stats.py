@@ -9,8 +9,7 @@ import json
 
 import pytest
 
-from repro.engine import HomCache, HomEngine, get_engine, reset_engine, set_engine
-from repro.engine.cache import MISS
+from repro.engine import HomEngine, get_engine, reset_engine, set_engine
 from repro.homomorphism import is_homomorphism
 from repro.structures import (
     directed_cycle,
@@ -116,24 +115,6 @@ class TestInvalidation:
         engine.exists_homomorphism(directed_path(3), directed_cycle(3))
         assert engine.cache.evictions == 1
         assert len(engine.cache) == 1
-
-
-class TestCacheUnit:
-    def test_equality_verified_buckets(self):
-        cache = HomCache(maxsize=4)
-        cache.put("key", ("a", "b"), 1)
-        assert cache.get("key", ("a", "b")) == 1
-        # same key, different witnesses: a fingerprint collision → miss
-        assert cache.get("key", ("a", "c")) is MISS
-        cache.put("key", ("a", "c"), 2)
-        assert cache.get("key", ("a", "b")) == 1
-        assert cache.get("key", ("a", "c")) == 2
-        assert len(cache) == 2
-
-    def test_zero_size_cache_stores_nothing(self):
-        cache = HomCache(maxsize=0)
-        cache.put("key", ("a",), 1)
-        assert cache.get("key", ("a",)) is MISS
 
 
 class TestSnapshotAndGlobalEngine:

@@ -199,12 +199,6 @@ class TestEntryBoundedCache:
         assert engine.cache.evictions > 0
         assert engine.stats.calls == 10_000
 
-    def test_entry_cap_bounds_collision_buckets(self):
-        cache = HomCache(maxsize=100, max_entries=3)
-        for i in range(10):
-            cache.put("k" * 32, (f"w{i}",), i)  # one key, many entries
-        assert len(cache) <= 3
-
     def test_default_entry_cap_is_twice_maxsize(self):
         assert HomCache(maxsize=8).max_entries == 16
 

@@ -68,6 +68,7 @@ def _spawn(shard_dir, runner_id):
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         text=True,
+        start_new_session=True,
     )
 
 
@@ -97,11 +98,12 @@ def _wait_for(predicate, timeout_s, interval_s=0.02):
 
 
 def _sigkill(proc):
-    if proc.poll() is None:
-        try:
-            proc.send_signal(signal.SIGKILL)
-        except ProcessLookupError:  # pragma: no cover - exited just now
-            pass
+    """SIGKILL the runner's process group: a dead host takes its pool
+    workers with it instead of leaving them blocked on a dead pipe."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:  # pragma: no cover - the group is gone
+        pass
     proc.wait(timeout=30)
 
 
