@@ -25,10 +25,8 @@ and the serve warm-session table
   the quantity that measures memory, since a collision grows a bucket
   without adding a key.  Both bounds evict whole keys, oldest use
   first; the entry count is kept incrementally, so ``len()`` is O(1).
-  ``bucket_size`` caps one bucket: a new entry for a full bucket
-  replaces its oldest.  The memo's buckets are capped only by
-  ``max_entries``; the other caches keep one entry per key, so a
-  colliding structure takes over the slot.
+  A bucket is capped only by ``max_entries``, so isomorphic but unequal
+  structures used alternately both stay cached.
 * **Invalidate by fingerprint.**  A secondary index maps every
   fingerprint-shaped key component to the keys mentioning it, so
   :meth:`VerifiedLRU.invalidate` drops exactly the entries involving
@@ -74,15 +72,12 @@ class VerifiedLRU:
     max_entries:
         Maximum total entries across all buckets; defaults to
         ``2 * maxsize``.
-    bucket_size:
-        Maximum entries under one key (``None``: no cap of its own).
     """
 
     def __init__(
         self,
         maxsize: int,
         max_entries: Optional[int] = None,
-        bucket_size: Optional[int] = None,
     ) -> None:
         if maxsize < 0:
             raise ValueError("maxsize must be non-negative")
@@ -92,7 +87,6 @@ class VerifiedLRU:
             raise ValueError("max_entries must be non-negative")
         self.maxsize = maxsize
         self.max_entries = max_entries
-        self.bucket_size = bucket_size
         self._data: "OrderedDict[Hashable, List[_Entry]]" = OrderedDict()
         self._entries = 0
         self._by_fingerprint: Dict[str, Set[Hashable]] = {}
@@ -142,10 +136,7 @@ class VerifiedLRU:
                         bucket[i] = (witnesses, value)
                         break
                 else:
-                    if len(bucket) == self.bucket_size:
-                        del bucket[0]
-                    else:
-                        self._entries += 1
+                    self._entries += 1
                     bucket.append((witnesses, value))
                 self._data.move_to_end(key)
             while self._data and (

@@ -17,14 +17,12 @@ queries and core computations.  Each query is
 A process-global engine (``get_engine()``) backs the convenience
 functions of :mod:`repro.homomorphism`; benchmarks construct private
 instances (e.g. with ``cache_enabled=False`` or ``use_kernel=False``)
-for ablations.  Environment switches for the global engine:
-``REPRO_NO_CACHE=1`` disables memoization, ``REPRO_NO_KERNEL=1`` routes
-searches to the reference solver — the instrumentation stays on.
+for ablations, and ``repro stats --no-cache/--no-kernel`` installs one
+as the global engine.  The instrumentation stays on either way.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from ..exceptions import (
@@ -49,23 +47,46 @@ Homomorphism = Dict[Element, Element]
 DEFAULT_CACHE_SIZE = 4096
 
 
-def _freeze_mapping(
-    mapping: Optional[Mapping[Element, Element]],
-) -> FrozenSet[Tuple[Element, Element]]:
-    return frozenset((mapping or {}).items())
+def _hom_key(
+    source: Structure,
+    target: Structure,
+    injective: bool,
+    pinned: Optional[Mapping[Element, Element]],
+    forbidden: FrozenSet[Element],
+    propagate: bool,
+) -> Tuple:
+    """The memo key of one hom query."""
+    return (
+        "hom",
+        source.fingerprint(),
+        target.fingerprint(),
+        injective,
+        frozenset((pinned or {}).items()),
+        forbidden,
+        propagate,
+    )
+
+
+def _copy_witness(
+    witness: Optional[Homomorphism],
+) -> Optional[Homomorphism]:
+    return dict(witness) if witness is not None else None
+
+
+def _same(value):
+    return value
 
 
 class HomEngine:
     """Memoized homomorphism/core solver with per-call instrumentation.
 
+    The memo holds :data:`DEFAULT_CACHE_SIZE` keys and the compiled-
+    target cache :data:`~repro.kernel.compile.DEFAULT_COMPILED_CACHE_SIZE`
+    targets; a caller that needs another bound assigns its own
+    :class:`~repro.engine.cache.HomCache` to ``engine.cache``.
+
     Parameters
     ----------
-    cache_size:
-        LRU capacity in keys (see :class:`~repro.engine.cache.HomCache`).
-    cache_entries:
-        LRU capacity in total entries across collision buckets
-        (defaults to ``2 * cache_size``; see
-        :class:`~repro.engine.cache.HomCache`).
     cache_enabled:
         When ``False`` every query is solved from scratch; counters and
         timers still accumulate (used by the ``--no-cache`` ablations).
@@ -75,8 +96,6 @@ class HomEngine:
         fingerprint and reused across queries; ``False`` keeps the
         reference set-based solver (the ``--no-kernel`` ablation and
         the differential oracle path).
-    compiled_cache_size:
-        Compiled targets retained by the kernel's per-engine cache.
     use_dp:
         When ``True`` (default) kernel solves are routed through
         :func:`repro.kernel.dp.plan_dp`: sources with enough variables
@@ -84,49 +103,59 @@ class HomEngine:
         programming over a nice decomposition instead of backtracking.
         Plans the gate rejects (large/UNKNOWN width, injective queries,
         unaffordable table bound) fall back to backtracking silently.
-        ``REPRO_NO_DP=1`` disables the path on the global engine.
-    dp_min_vars / dp_max_width / dp_cost_cap:
-        Overrides for the DP gate thresholds (defaults are the
-        :mod:`repro.kernel.dp` module constants).
+    dp_min_vars:
+        Override for the DP gate's minimum source size (default
+        :data:`repro.kernel.dp.DP_MIN_VARS`).
     """
 
     def __init__(
         self,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        cache_entries: Optional[int] = None,
+        *,
         cache_enabled: bool = True,
         use_kernel: bool = True,
-        compiled_cache_size: Optional[int] = None,
         use_dp: bool = True,
         dp_min_vars: Optional[int] = None,
-        dp_max_width: Optional[int] = None,
-        dp_cost_cap: Optional[int] = None,
     ) -> None:
-        from ..kernel.compile import (
-            DEFAULT_COMPILED_CACHE_SIZE,
-            CompiledTargetCache,
-        )
-        from ..kernel.dp import DP_COST_CAP, DP_MAX_WIDTH, DP_MIN_VARS
+        from ..kernel.compile import CompiledTargetCache
+        from ..kernel.dp import DP_MIN_VARS
 
-        self.cache = HomCache(cache_size, max_entries=cache_entries)
+        self.cache = HomCache(DEFAULT_CACHE_SIZE)
         self.cache_enabled = cache_enabled
         self.use_kernel = use_kernel
         self.use_dp = use_dp
         self.dp_min_vars = (
             dp_min_vars if dp_min_vars is not None else DP_MIN_VARS
         )
-        self.dp_max_width = (
-            dp_max_width if dp_max_width is not None else DP_MAX_WIDTH
-        )
-        self.dp_cost_cap = (
-            dp_cost_cap if dp_cost_cap is not None else DP_COST_CAP
-        )
-        self.compiled_targets = CompiledTargetCache(
-            compiled_cache_size
-            if compiled_cache_size is not None
-            else DEFAULT_COMPILED_CACHE_SIZE
-        )
+        self.compiled_targets = CompiledTargetCache()
         self.stats = SolverStats()
+
+    def _memoized(self, make_key, witnesses, compute, copy=_same):
+        """``compute()``, answered through the memo when it is on.
+
+        ``make_key()`` builds the key (only with the memo on, since it
+        fingerprints); a hit returns ``copy`` of the stored value and a
+        miss stores ``copy`` of the computed one.  Every memo lookup of
+        the engine goes through here.
+        """
+        if not self.cache_enabled:
+            return compute()
+        key = make_key()
+        cached = self.cache.get(key, witnesses)
+        if cached is not MISS:
+            self.stats.cache_hits += 1
+            return copy(cached)
+        self.stats.cache_misses += 1
+        result = compute()
+        self.cache.put(key, witnesses, copy(result))
+        return result
+
+    def _timed(self, solve, *args, **kwargs):
+        """``solve(*args, **kwargs)``, its wall time added to
+        ``stats.solve_time_s``."""
+        with Timer() as timer:
+            result = solve(*args, **kwargs)
+        self.stats.solve_time_s += timer.elapsed_s
+        return result
 
     # ------------------------------------------------------------------
     # Homomorphism queries
@@ -144,33 +173,17 @@ class HomEngine:
         """A homomorphism ``source → target`` honoring the options, or
         ``None``; memoized on (fingerprints, options)."""
         self.stats.calls += 1
-        pinned_key = _freeze_mapping(pinned)
         forbidden = frozenset(forbidden_images)
-        key = None
-        witnesses = (source, target)
-        if self.cache_enabled:
-            key = (
-                "hom",
-                source.fingerprint(),
-                target.fingerprint(),
-                injective,
-                pinned_key,
-                forbidden,
-                propagate,
-            )
-            cached = self.cache.get(key, witnesses)
-            if cached is not MISS:
-                self.stats.cache_hits += 1
-                return dict(cached) if cached is not None else None
-            self.stats.cache_misses += 1
-        result = self._solve(
-            source, target, injective, pinned, forbidden, propagate
+        return self._memoized(
+            lambda: _hom_key(
+                source, target, injective, pinned, forbidden, propagate
+            ),
+            (source, target),
+            lambda: self._solve(
+                source, target, injective, pinned, forbidden, propagate
+            ),
+            _copy_witness,
         )
-        if key is not None:
-            self.cache.put(
-                key, witnesses, dict(result) if result is not None else None
-            )
-        return result
 
     def batch(self, target: Structure) -> "_EngineBatch":
         """A batched solve handle for many queries against ``target``.
@@ -299,8 +312,6 @@ class HomEngine:
                         compiled.size(),
                         injective=injective,
                         min_vars=self.dp_min_vars,
-                        max_width=self.dp_max_width,
-                        cost_cap=self.dp_cost_cap,
                     )
                 if plan is not None:
                     from ..kernel.dp import TreewidthDPSolver
@@ -355,21 +366,11 @@ class HomEngine:
         from ..homomorphism.cores import core_by_retractions
 
         self.stats.calls += 1
-        key = None
-        witnesses = (structure,)
-        if self.cache_enabled:
-            key = ("core", structure.fingerprint())
-            cached = self.cache.get(key, witnesses)
-            if cached is not MISS:
-                self.stats.cache_hits += 1
-                return cached
-            self.stats.cache_misses += 1
-        with Timer() as timer:
-            result = core_by_retractions(structure, engine=self)
-        self.stats.solve_time_s += timer.elapsed_s
-        if key is not None:
-            self.cache.put(key, witnesses, result)
-        return result
+        return self._memoized(
+            lambda: ("core", structure.fingerprint()),
+            (structure,),
+            lambda: self._timed(core_by_retractions, structure, engine=self),
+        )
 
     # ------------------------------------------------------------------
     # Maintenance & observability
@@ -495,41 +496,28 @@ class _EngineBatch:
                 propagate=propagate,
             )
         engine.stats.calls += 1
-        pinned_key = _freeze_mapping(pinned)
         forbidden = frozenset(forbidden_images)
-        key = None
-        witnesses = (source, self.target)
-        if engine.cache_enabled:
-            key = (
-                "hom",
-                source.fingerprint(),
-                self.target.fingerprint(),
-                injective,
-                pinned_key,
-                forbidden,
-                propagate,
-            )
-            cached = engine.cache.get(key, witnesses)
-            if cached is not MISS:
-                engine.stats.cache_hits += 1
-                return dict(cached) if cached is not None else None
-            engine.stats.cache_misses += 1
-        engine.stats.solves += 1
-        engine.stats.kernel_solves += 1
-        with Timer() as timer:
-            result = self._get_session().solve(
+
+        def solve() -> Optional[Homomorphism]:
+            engine.stats.solves += 1
+            engine.stats.kernel_solves += 1
+            return engine._timed(
+                self._get_session().solve,
                 source,
                 injective=injective,
                 pinned=pinned,
                 forbidden_images=forbidden,
                 propagate=propagate,
             )
-        engine.stats.solve_time_s += timer.elapsed_s
-        if key is not None:
-            engine.cache.put(
-                key, witnesses, dict(result) if result is not None else None
-            )
-        return result
+
+        return engine._memoized(
+            lambda: _hom_key(
+                source, self.target, injective, pinned, forbidden, propagate
+            ),
+            (source, self.target),
+            solve,
+            _copy_witness,
+        )
 
     def exists(self, source: Structure) -> bool:
         """Whether a homomorphism ``source → self.target`` exists."""
@@ -542,27 +530,11 @@ class _EngineBatch:
 _GLOBAL_ENGINE: Optional[HomEngine] = None
 
 
-def _default_engine() -> HomEngine:
-    disabled = os.environ.get("REPRO_NO_CACHE", "") not in ("", "0")
-    no_kernel = os.environ.get("REPRO_NO_KERNEL", "") not in ("", "0")
-    no_dp = os.environ.get("REPRO_NO_DP", "") not in ("", "0")
-    size = int(os.environ.get("REPRO_HOM_CACHE_SIZE", DEFAULT_CACHE_SIZE))
-    entries_env = os.environ.get("REPRO_HOM_CACHE_ENTRIES", "")
-    entries = int(entries_env) if entries_env else None
-    return HomEngine(
-        cache_size=size,
-        cache_entries=entries,
-        cache_enabled=not disabled,
-        use_kernel=not no_kernel,
-        use_dp=not no_dp,
-    )
-
-
 def get_engine() -> HomEngine:
     """The process-global engine (created on first use)."""
     global _GLOBAL_ENGINE
     if _GLOBAL_ENGINE is None:
-        _GLOBAL_ENGINE = _default_engine()
+        _GLOBAL_ENGINE = HomEngine()
     return _GLOBAL_ENGINE
 
 
@@ -575,4 +547,4 @@ def set_engine(engine: HomEngine) -> HomEngine:
 
 def reset_engine() -> HomEngine:
     """Replace the global engine with a fresh default one; returns it."""
-    return set_engine(_default_engine())
+    return set_engine(HomEngine())

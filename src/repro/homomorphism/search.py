@@ -123,7 +123,7 @@ class _TargetIndex:
 
 #: Target indexes, reused across the many searches that core-retraction
 #: loops and containment batches issue against one target.
-_INDEX_CACHE = VerifiedLRU(256, bucket_size=1)
+_INDEX_CACHE = VerifiedLRU(256)
 
 
 def target_index_for(target: Structure) -> _TargetIndex:

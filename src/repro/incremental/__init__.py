@@ -18,9 +18,8 @@ structure cheap.  The four layers, bottom to top:
   hom/containment/core queries (witness revalidation + monotonicity)
   and DRed maintenance of Datalog fixpoints.
 
-``REPRO_NO_INCR=1`` disables every incremental path for ablations,
-mirroring ``REPRO_NO_KERNEL`` / ``REPRO_NO_DP``; results are identical
-either way, only the work differs.  Counters live on
+Every incremental path gives the answer a from-scratch computation
+would; only the work differs.  Counters live on
 :data:`repro.engine.instrumentation.INCREMENTAL` and appear in
 ``python -m repro stats``.
 """
@@ -31,8 +30,7 @@ _EXPORTS = {
     "datalog": ("IncrementalFixpoint",),
     "delta": ("Delta", "EditRecord", "apply_delta"),
     "fingerprint": (
-        "fingerprint_with_history", "incremental_enabled",
-        "incremental_fingerprint",
+        "fingerprint_with_history", "incremental_fingerprint",
     ),
     "warm": (
         "IncrementalCoreSession", "IncrementalHomSession",
@@ -51,6 +49,5 @@ __all__ = [
     "apply_delta",
     "fingerprint_with_history",
     "incremental_containment_session",
-    "incremental_enabled",
     "incremental_fingerprint",
 ]

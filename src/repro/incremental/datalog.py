@@ -30,7 +30,6 @@ mid-maintenance leaves the state **invalidated**, so the next access
 recomputes from scratch rather than serving a half-maintained
 fixpoint, and :meth:`IncrementalFixpoint.decide` wraps membership
 queries as trivalent :class:`~repro.resources.Verdict`\\ s.
-``REPRO_NO_INCR=1`` routes every edit to the from-scratch path.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from ..exceptions import (
 )
 from ..structures.structure import Structure, Tup
 from .delta import Delta, EditRecord, apply_delta
-from .fingerprint import incremental_enabled
 
 _GOVERNOR_TRIPS = (
     DeadlineExceededError,
@@ -146,11 +144,8 @@ class IncrementalFixpoint:
         edited, record = apply_delta(self.structure, delta)
         self.structure = edited
         self.last_record = record
-        if old_idb is None or not incremental_enabled():
-            if old_idb is not None:
-                INCREMENTAL.dred_full_recomputes += 1
-            self._idb = None  # recompute lazily from scratch
-            return record
+        if old_idb is None:
+            return record  # nothing to maintain; computed on next access
         try:
             self._maintain(old_structure, old_idb, delta)
             INCREMENTAL.dred_applies += 1

@@ -33,7 +33,7 @@ from typing import Dict, FrozenSet, Hashable, Iterable, Set, Tuple
 
 from ..exceptions import ValidationError
 from ..structures.structure import Structure
-from .fingerprint import incremental_enabled, incremental_fingerprint
+from .fingerprint import incremental_fingerprint
 
 Element = Hashable
 Fact = Tuple[str, Tuple[Element, ...]]
@@ -209,16 +209,15 @@ def _validate(structure: Structure, delta: Delta) -> None:
 
 
 def apply_delta(
-    structure: Structure, delta: Delta, *, force_full: bool = False
+    structure: Structure, delta: Delta
 ) -> Tuple[Structure, EditRecord]:
     """Apply ``delta`` to ``structure`` immutably.
 
     Returns ``(edited, record)``.  The edited structure's fingerprint
-    is delta-maintained (only the edit's refinement radius re-hashed)
-    unless ``force_full`` is set or ``REPRO_NO_INCR`` disables the
-    incremental engine; either way the digest is identical to a
-    from-scratch computation and the per-round color history is
-    installed on the result so the chain can continue.  Raises
+    is delta-maintained (only the edit's refinement radius re-hashed,
+    with an exact full recompute where that does not pay); the digest
+    is identical to a from-scratch computation and the per-round color
+    history is installed on the result so the chain can continue.  Raises
     :class:`~repro.exceptions.ValidationError` when the delta does not
     round-trip (adding present facts, removing absent ones, removing
     non-isolated elements, …).
@@ -241,17 +240,14 @@ def apply_delta(
     )
 
     touched = delta.touched_elements()
-    if incremental_enabled() and not force_full:
-        from .fingerprint import fingerprint_with_history
+    # Looked up per call, so a wrapper installed on the fingerprint
+    # module (the layered benchmark's tracer) sees this call too.
+    from .fingerprint import fingerprint_with_history
 
-        old_fp = fingerprint_with_history(structure)
-        new_fp, was_incremental, dirty, rounds = incremental_fingerprint(
-            structure, edited, touched, delta=delta
-        )
-    else:
-        old_fp = structure.fingerprint()
-        new_fp = edited.fingerprint()
-        was_incremental, dirty, rounds = False, len(edited.universe), 0
+    old_fp = fingerprint_with_history(structure)
+    new_fp, was_incremental, dirty, rounds = incremental_fingerprint(
+        structure, edited, touched, delta=delta
+    )
     record = EditRecord(
         delta=delta,
         old_fingerprint=old_fp,

@@ -47,7 +47,6 @@ directly, so removed-fact adjacency needs no separate pass.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Set, Tuple
 
@@ -71,17 +70,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: structure and a from-scratch recompute is cheaper than the merge
 #: bookkeeping.
 FRONTIER_FRACTION = 0.5
-
-
-def incremental_enabled() -> bool:
-    """Whether the incremental engine is switched on.
-
-    ``REPRO_NO_INCR=1`` disables every incremental path (delta
-    fingerprints, fine-grained invalidation, warm starts, DRed) for
-    ablation runs, mirroring ``REPRO_NO_KERNEL`` / ``REPRO_NO_DP``.
-    Read dynamically on every call so tests can flip it per-case.
-    """
-    return os.environ.get("REPRO_NO_INCR", "") in ("", "0")
 
 
 def fingerprint_with_history(structure: "Structure") -> str:

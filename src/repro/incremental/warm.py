@@ -24,8 +24,7 @@ Every re-decision first routes the edit's
 :class:`~repro.incremental.delta.EditRecord` through
 :meth:`~repro.engine.engine.HomEngine.invalidate_edit`, so only memo
 and compiled entries mentioning the edited side's old fingerprint are
-evicted.  ``REPRO_NO_INCR=1`` collapses every tier to the fallback
-(the ablation baseline).  UNKNOWN verdicts are never warm-started: a
+evicted.  UNKNOWN verdicts are never warm-started: a
 governor trip proves nothing about the edited instance.
 """
 
@@ -42,7 +41,6 @@ from ..exceptions import (
 from ..homomorphism.search import is_homomorphism
 from ..structures.structure import Element, Structure
 from .delta import Delta, EditRecord, apply_delta
-from .fingerprint import incremental_enabled
 
 _GOVERNOR_TRIPS = (
     DeadlineExceededError,
@@ -108,7 +106,7 @@ class IncrementalHomSession:
     # ------------------------------------------------------------------
     def _redecide(self, record: EditRecord, edited_side: str):
         previous = self.last_verdict
-        if not incremental_enabled() or previous is None:
+        if previous is None:
             return self.decide()
         warm = self._warm_verdict(previous, record, edited_side)
         if warm is not None:
@@ -209,8 +207,7 @@ class IncrementalCoreSession:
         self.structure = edited
         self.last_record = record
         if (
-            incremental_enabled()
-            and self._core is not None
+            self._core is not None
             and self._map is not None
             and self._core.is_substructure_of(edited)
             and is_homomorphism(edited, self._core, self._map)

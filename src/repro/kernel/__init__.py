@@ -33,8 +33,7 @@ default:
   join/introduce/forget tables of partial homomorphisms over a nice
   decomposition instead of backtracking, checkpointing ``hom.dp`` at
   every bag.  Large or UNKNOWN width falls back to the backtracking
-  kernel; ``REPRO_NO_DP=1`` or ``HomEngine(use_dp=False)`` disables
-  the path entirely.
+  kernel; ``HomEngine(use_dp=False)`` disables the path entirely.
 
 The kernel preserves the cooperative governance contract: every node
 expansion checkpoints ``hom.search`` and every fact revision checkpoints
@@ -42,8 +41,7 @@ expansion checkpoints ``hom.search`` and every fact revision checkpoints
 so deadlines, budgets, cancellation and the chaos harness govern the
 compiled path exactly as they govern the reference solver.  The
 reference solver remains the differential oracle and is selectable via
-``HomEngine(use_kernel=False)``, ``REPRO_NO_KERNEL=1`` or the CLI/bench
-``--no-kernel`` flags.
+``HomEngine(use_kernel=False)`` or the CLI/bench ``--no-kernel`` flags.
 """
 
 from .._lazy import lazy_exports

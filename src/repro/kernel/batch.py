@@ -88,7 +88,7 @@ class BatchSolveSession:
         self.scratch = PropagationScratch()
         # Keyed by (source fingerprint, options); witnesses are stored
         # once and copied out per hit.
-        self._memo = VerifiedLRU(SESSION_MEMO_SIZE, bucket_size=1)
+        self._memo = VerifiedLRU(SESSION_MEMO_SIZE)
         if stats is not None:
             stats.batch_calls += 1
 

@@ -171,13 +171,13 @@ class CompiledTarget:
 
 
 class CompiledTargetCache(VerifiedLRU):
-    """Compiled targets keyed by the target's fingerprint, one per key,
-    under the caching rule of :mod:`repro.engine.cache`.  The ``evict``
+    """Compiled targets keyed by the target's fingerprint, under the
+    caching rule of :mod:`repro.engine.cache`.  The ``evict``
     chaos fault clears it the same way it clears the memo cache.
     """
 
     def __init__(self, capacity: int = DEFAULT_COMPILED_CACHE_SIZE) -> None:
-        super().__init__(capacity, bucket_size=1)
+        super().__init__(capacity)
 
     def get(self, target: Structure, stats=None) -> CompiledTarget:
         """The compiled form of ``target``, compiling on a miss.

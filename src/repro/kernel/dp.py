@@ -92,18 +92,15 @@ def plan_dp(
     *,
     injective: bool = False,
     min_vars: int = DP_MIN_VARS,
-    max_width: int = DP_MAX_WIDTH,
-    cost_cap: int = DP_COST_CAP,
-    exact_limit: int = DP_EXACT_LIMIT,
 ) -> Optional[DPPlan]:
     """Decide whether (and how) to DP-solve ``source``; ``None`` = don't.
 
     Rejections, in order: injective queries (the bag-local tables can't
     see global image-disjointness), sources below ``min_vars``, reported
-    treewidth above ``max_width`` (or UNKNOWN because the planning pass
-    itself tripped a governor limit), heuristic decomposition width
-    above ``max_width``, and plans whose table bound exceeds
-    ``cost_cap``.  Every rejection means "use the backtracking kernel",
+    treewidth above :data:`DP_MAX_WIDTH` (or UNKNOWN because the
+    planning pass itself tripped a governor limit), heuristic
+    decomposition width above :data:`DP_MAX_WIDTH`, and plans whose
+    table bound exceeds :data:`DP_COST_CAP`.  Every rejection means "use the backtracking kernel",
     never "fail".
     """
     if injective:
@@ -115,24 +112,26 @@ def plan_dp(
         graph = gaifman_graph(source)
         # Cheap poly lower bound first: a dense source is rejected
         # before any exponential planning work happens.
-        if treewidth_lower_bound(graph) > max_width:
+        if treewidth_lower_bound(graph) > DP_MAX_WIDTH:
             return None
         heuristic_width, decomp = treewidth_upper_bound(graph)
-        if heuristic_width <= max_width:
+        if heuristic_width <= DP_MAX_WIDTH:
             # The heuristic decomposition is already good enough to run
             # on.  The exact pass (affordable here: the B&B prunes with
             # the small upper bound) only refines the reported width.
-            if nvars <= exact_limit:
-                reported = treewidth_with_fallback(graph, limit=exact_limit)
+            if nvars <= DP_EXACT_LIMIT:
+                reported = treewidth_with_fallback(
+                    graph, limit=DP_EXACT_LIMIT
+                )
                 reported_width, exact = reported.width, reported.exact
             else:
                 reported_width, exact = heuristic_width, False
-        elif nvars <= exact_limit:
+        elif nvars <= DP_EXACT_LIMIT:
             # The heuristic overshot; an exact decomposition may still
             # come in under the width gate on a small source.
-            decomp = treewidth_decomposition(graph, limit=exact_limit)
+            decomp = treewidth_decomposition(graph, limit=DP_EXACT_LIMIT)
             reported_width, exact = decomp.width(), True
-            if reported_width > max_width:
+            if reported_width > DP_MAX_WIDTH:
                 return None
         else:
             return None
@@ -146,7 +145,7 @@ def plan_dp(
         for node in nice.nodes
         if node.kind in ("introduce", "join")
     )
-    if cost > cost_cap:
+    if cost > DP_COST_CAP:
         return None
     return DPPlan(
         nice=nice,

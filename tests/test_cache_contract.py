@@ -6,8 +6,9 @@ indexes and a batch session's query memo all run on
 them through its own lookup path and checks one clause of the rule in
 :mod:`repro.engine.cache`: an isomorphic-but-unequal structure never
 gets another structure's hit, the key and entry bounds hold,
-``invalidate(fp)`` drops only the entries that mention ``fp``, and
-``clear()`` keeps the counters.  A threaded stress test checks the
+``invalidate(fp)`` drops only the entries that mention ``fp``,
+``clear()`` keeps the counters, and isomorphic-but-unequal structures
+used alternately both stay cached.  A threaded stress test checks the
 cache's lock.
 """
 
@@ -19,7 +20,7 @@ import pytest
 
 import repro.homomorphism.search as search
 import repro.kernel.batch as batch
-from repro.engine.cache import MISS, VerifiedLRU
+from repro.engine.cache import MISS, HomCache, VerifiedLRU
 from repro.engine.engine import HomEngine
 from repro.kernel.batch import BatchSolveSession
 from repro.kernel.compile import CompiledTargetCache
@@ -40,7 +41,8 @@ def path(n, offset=0):
 
 
 def _memo(maxsize, monkeypatch):
-    engine = HomEngine(cache_size=maxsize)
+    engine = HomEngine()
+    engine.cache = HomCache(maxsize)
     return (engine.cache,
             lambda s: engine.find_homomorphism(s, TARGET), set)
 
@@ -51,9 +53,7 @@ def _compiled_targets(maxsize, monkeypatch):
 
 
 def _reference_index(maxsize, monkeypatch):
-    bucket_size = search._INDEX_CACHE.bucket_size
-    monkeypatch.setattr(search, "_INDEX_CACHE",
-                        VerifiedLRU(maxsize, bucket_size=bucket_size))
+    monkeypatch.setattr(search, "_INDEX_CACHE", VerifiedLRU(maxsize))
     return (search._INDEX_CACHE, search.target_index_for,
             lambda index: index._target.universe_set)
 
@@ -98,14 +98,21 @@ def test_isomorphic_copy_never_borrows_a_hit(user):
     # same key, unequal structure: a miss, answered for b itself
     assert universe_of(lookup(b)) == b.universe_set
     assert cache.hits == hits
-    # one bucket holds both (the memo) or b took over the slot; either
-    # way each structure is served only its own value
-    kept = cache.bucket_size or 2
-    assert len(cache) == kept and _key_count(cache) == 1
+    # one bucket holds both, and each structure is served only its own
+    # value
+    assert len(cache) == 2 and _key_count(cache) == 1
     assert universe_of(lookup(a)) == a.universe_set
     assert universe_of(lookup(b)) == b.universe_set
-    assert cache.hits == hits + (2 if kept == 2 else 0)
-    assert len(cache) == kept
+    assert cache.hits == hits + 2
+    assert len(cache) == 2
+
+
+def test_isomorphic_copies_used_alternately_both_stay_cached(user):
+    cache, lookup, _ = user(8)
+    a, b = path(3), path(3, offset=10)
+    for s in (a, b) * 3:
+        lookup(s)
+    assert (cache.misses, cache.hits) == (2, 4)
 
 
 def test_key_and_entry_bounds_hold(user):
@@ -119,7 +126,7 @@ def test_key_and_entry_bounds_hold(user):
         lookup(path(3, offset))
         assert len(cache) <= cache.max_entries
         largest = max(map(len, cache._data.values()), default=0)
-        assert largest <= (cache.bucket_size or cache.max_entries)
+        assert largest <= cache.max_entries
 
 
 def test_zero_bound_stores_nothing(user):

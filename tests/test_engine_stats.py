@@ -9,7 +9,13 @@ import json
 
 import pytest
 
-from repro.engine import HomEngine, get_engine, reset_engine, set_engine
+from repro.engine import (
+    HomCache,
+    HomEngine,
+    get_engine,
+    reset_engine,
+    set_engine,
+)
 from repro.homomorphism import is_homomorphism
 from repro.structures import (
     directed_cycle,
@@ -110,7 +116,8 @@ class TestInvalidation:
         assert len(engine.cache) == 0
 
     def test_lru_eviction(self):
-        engine = HomEngine(cache_size=1)
+        engine = HomEngine()
+        engine.cache = HomCache(1)
         engine.exists_homomorphism(directed_path(2), directed_cycle(3))
         engine.exists_homomorphism(directed_path(3), directed_cycle(3))
         assert engine.cache.evictions == 1
@@ -176,7 +183,9 @@ class TestSnapshotAndGlobalEngine:
     def test_set_and_reset_global_engine(self):
         original = get_engine()
         try:
-            mine = set_engine(HomEngine(cache_size=7))
+            mine = HomEngine()
+            mine.cache = HomCache(7)
+            assert set_engine(mine) is mine
             assert get_engine() is mine
             fresh = reset_engine()
             assert get_engine() is fresh is not mine

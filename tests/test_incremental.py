@@ -2,9 +2,9 @@
 
 Unit coverage for :mod:`repro.incremental` plus the observability
 satellites: the entry-bounded memo cache under a 10k-decision stream,
-the fine-grained ``invalidate_edit`` keep/evict split, the
-``REPRO_NO_INCR`` ablation switch, and the ``repro stats --reset``
-regression (distributed/lease and journal counters must reset too).
+the fine-grained ``invalidate_edit`` keep/evict split, and the
+``repro stats --reset`` regression (distributed/lease and journal
+counters must reset too).
 """
 
 import random
@@ -30,7 +30,6 @@ from repro.incremental import (
     IncrementalHomSession,
     apply_delta,
     incremental_containment_session,
-    incremental_enabled,
 )
 from repro.resources import SweepJournal, governed
 from repro.structures import (
@@ -186,7 +185,8 @@ class TestIncrementalFingerprint:
 # ----------------------------------------------------------------------
 class TestEntryBoundedCache:
     def test_max_entries_cap_holds_under_10k_decision_stream(self):
-        engine = HomEngine(cache_size=64, cache_entries=100)
+        engine = HomEngine()
+        engine.cache = HomCache(64, max_entries=100)
         source, target = directed_path(2), directed_cycle(3)
         for i in range(10_000):
             engine.find_homomorphism(
@@ -201,12 +201,6 @@ class TestEntryBoundedCache:
 
     def test_default_entry_cap_is_twice_maxsize(self):
         assert HomCache(maxsize=8).max_entries == 16
-
-    def test_env_override(self, monkeypatch):
-        from repro.engine.engine import _default_engine
-
-        monkeypatch.setenv("REPRO_HOM_CACHE_ENTRIES", "17")
-        assert _default_engine().cache.max_entries == 17
 
 
 # ----------------------------------------------------------------------
@@ -419,51 +413,6 @@ class TestIncrementalDatalog:
             verdict = fix.decide("T", (0, 7))
         assert verdict.is_unknown
         assert fix.decide("T", (0, 7)).is_true
-
-
-# ----------------------------------------------------------------------
-# Satellite: the REPRO_NO_INCR ablation switch
-# ----------------------------------------------------------------------
-class TestAblationSwitch:
-    def test_switch_is_dynamic(self, monkeypatch):
-        assert incremental_enabled()
-        monkeypatch.setenv("REPRO_NO_INCR", "1")
-        assert not incremental_enabled()
-        monkeypatch.setenv("REPRO_NO_INCR", "0")
-        assert incremental_enabled()
-
-    def test_disabled_apply_still_exact(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_INCR", "1")
-        n = 20
-        s = Structure(
-            GRAPH, range(n), {"E": [(i, (i + 1) % n) for i in range(n)]}
-        )
-        cur, first = apply_delta(s, Delta(add_facts=[("E", (0, 5))]))
-        cur, second = apply_delta(cur, Delta(remove_facts=[("E", (0, 5))]))
-        assert not second.incremental
-        assert second.new_fingerprint == s.fingerprint()
-
-    def test_disabled_warm_start_always_falls_back(self, monkeypatch):
-        engine = HomEngine()
-        session = IncrementalHomSession(
-            directed_path(3), directed_cycle(4), engine=engine
-        )
-        assert session.decide().is_true
-        monkeypatch.setenv("REPRO_NO_INCR", "1")
-        hits = INCREMENTAL.warm_hits
-        verdict = session.edit_target(Delta(add_facts=[("E", (0, 2))]))
-        assert verdict.is_true
-        assert INCREMENTAL.warm_hits == hits
-
-    def test_disabled_datalog_recomputes(self, monkeypatch):
-        fix = IncrementalFixpoint(TC, directed_path(4))
-        fix.relation("T")
-        monkeypatch.setenv("REPRO_NO_INCR", "1")
-        before = INCREMENTAL.dred_full_recomputes
-        fix.apply(Delta(add_facts=[("E", (3, 0))]))
-        assert INCREMENTAL.dred_full_recomputes == before + 1
-        want = evaluate_semi_naive(TC, fix.structure).relations
-        assert fix.relation("T") == set(want["T"])
 
 
 # ----------------------------------------------------------------------
