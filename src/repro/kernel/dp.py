@@ -347,7 +347,7 @@ class TreewidthDPSolver:
                 partial[var] = value
                 ok = True
                 for surviving, groups in checks:
-                    for fvar, gsup in groups:
+                    for fvar, gsup, _, _ in groups:
                         surviving &= gsup.get(partial[fvar], 0)
                         if not surviving:
                             ok = False

@@ -12,6 +12,11 @@ dense-integer form produced by :mod:`repro.kernel.compile`:
   dict lookups and big-int intersections instead of re-scanning target
   tuples (the support dicts play the role of AC-4 support counters:
   built once, consulted thereafter);
+* each ``(relation, positions)`` group carries two per-solve memo
+  tables — the support union of a domain mask and the values a
+  surviving-tuple mask still supports — so a revision that meets a
+  domain or tuple mask seen before costs two dict lookups instead of
+  two walks over the domain's set bits;
 * propagation is worklist-driven — only facts touching a variable whose
   domain just shrank are revisited, where the reference AC-3 loop
   re-sweeps every fact until a full pass changes nothing.
@@ -34,9 +39,23 @@ from .compile import CompiledTarget
 
 Homomorphism = Dict[Element, Element]
 
+#: Entries a revision memo table holds before it is cleared (see
+#: ``BitsetHomomorphismSolver._propagate``).  ``C101 → C103`` would
+#: fill about 10k entries in one table; the layered benchmark's hom
+#: instances stay under 900, so the bound only caps memory on long
+#: solves.
+MEMO_LIMIT = 4096
+
+#: One variable of a compiled source fact: ``(variable index,
+#: group-support dict, union memo, projection memo)``.  The support dict
+#: maps a value to the mask of tuples holding it at every position of
+#: the variable's group; the memos belong to the group (see
+#: ``BitsetHomomorphismSolver._propagate``).
+_Occurrence = Tuple[int, Dict[int, int], Dict[int, int], Dict[int, int]]
+
 #: A compiled source fact: the relation's all-tuples mask plus one
-#: ``(variable index, group-support dict)`` entry per distinct variable.
-_CompiledFact = Tuple[int, Tuple[Tuple[int, Dict[int, int]], ...]]
+#: occurrence per distinct variable.
+_CompiledFact = Tuple[int, Tuple[_Occurrence, ...]]
 
 
 class PropagationScratch:
@@ -107,7 +126,10 @@ class BitsetHomomorphismSolver:
             self.rank[i] = position
 
         # Compile the source facts against the target's support tables.
+        # Facts of one ``(relation, positions)`` group share its support
+        # dict, so they share its revision memos too.
         self.facts: List[_CompiledFact] = []
+        memos: Dict[Tuple[str, Tuple[int, ...]], Tuple[dict, dict]] = {}
         self.facts_of: List[List[int]] = [[] for _ in range(self.nvars)]
         base = target.full_mask
         for e in forbidden_images:
@@ -120,15 +142,17 @@ class BitsetHomomorphismSolver:
             positions_of: Dict[int, List[int]] = {}
             for pos, x in enumerate(tup):
                 positions_of.setdefault(self.var_of[x], []).append(pos)
-            groups = tuple(
-                (var, rel.group_support(tuple(positions)))
-                for var, positions in positions_of.items()
-            )
             fact_idx = len(self.facts)
-            self.facts.append((rel.all_mask, groups))
+            groups = []
             for var, positions in positions_of.items():
+                positions = tuple(positions)
+                memo = memos.get((name, positions))
+                if memo is None:
+                    memo = memos[name, positions] = ({}, {})
+                groups.append((var, rel.group_support(positions)) + memo)
                 self.facts_of[var].append(fact_idx)
-                self.domains[var] &= rel.group_values(tuple(positions))
+                self.domains[var] &= rel.group_values(positions)
+            self.facts.append((rel.all_mask, tuple(groups)))
         self.degree = [len(f) for f in self.facts_of]
 
         # Constants pin their interpretation, then explicit pins apply;
@@ -165,6 +189,14 @@ class BitsetHomomorphismSolver:
         values still carried by a surviving tuple; shrunk variables
         re-enqueue their facts.  Domains only shrink, so the worklist
         drains.
+
+        Both steps are memoized per group: ``unions[d]`` is the OR of
+        the supports of the values in domain mask ``d``, and
+        ``projs[s]`` is the mask of values whose support meets tuple
+        mask ``s``, so the prune is ``old & projs[surviving]``.  Both
+        are pure functions of the group's support dict, so a hit
+        computes exactly what a walk would; a table reaching
+        :data:`MEMO_LIMIT` entries is cleared.
         """
         facts = self.facts
         facts_of = self.facts_of
@@ -181,28 +213,36 @@ class BitsetHomomorphismSolver:
             f = queue.popleft()
             queued.discard(f)
             surviving, groups = facts[f]
-            for var, gsup in groups:
-                mask = 0
+            for var, gsup, unions, _ in groups:
                 d = domains[var]
-                while d:
-                    low = d & -d
-                    supp = gsup.get(low.bit_length() - 1)
-                    if supp is not None:
-                        mask |= supp
-                    d ^= low
+                mask = unions.get(d)
+                if mask is None:
+                    mask = 0
+                    rest = d
+                    while rest:
+                        low = rest & -rest
+                        supp = gsup.get(low.bit_length() - 1)
+                        if supp is not None:
+                            mask |= supp
+                        rest ^= low
+                    if len(unions) >= MEMO_LIMIT:
+                        unions.clear()
+                    unions[d] = mask
                 surviving &= mask
                 if not surviving:
                     return False
-            for var, gsup in groups:
-                new = 0
-                d = domains[var]
-                while d:
-                    low = d & -d
-                    supp = gsup.get(low.bit_length() - 1)
-                    if supp is not None and supp & surviving:
-                        new |= low
-                    d ^= low
+            for var, gsup, _, projs in groups:
+                keep = projs.get(surviving)
+                if keep is None:
+                    keep = 0
+                    for value, supp in gsup.items():
+                        if supp & surviving:
+                            keep |= 1 << value
+                    if len(projs) >= MEMO_LIMIT:
+                        projs.clear()
+                    projs[surviving] = keep
                 old = domains[var]
+                new = old & keep
                 if new != old:
                     if stats is not None:
                         stats.ac3_prunings += (
@@ -223,7 +263,7 @@ class BitsetHomomorphismSolver:
         currently assigned positions."""
         for f in self.facts_of[var]:
             surviving, groups = self.facts[f]
-            for v2, gsup in groups:
+            for v2, gsup, _, _ in groups:
                 value = assignment.get(v2)
                 if value is None:
                     continue
