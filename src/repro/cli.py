@@ -33,8 +33,8 @@ JSON-serialized structures (see :mod:`repro.structures.io`):
     ``--reset`` zeroes every counter — solver, memo cache,
     compiled-target cache, governor, incremental, distributed — before
     the run; with ``--journal`` also reports a sweep journal's
-    integrity stats (records, legacy lines, corrupt lines, torn-tail
-    recoveries).
+    integrity stats (records, legacy lines, corrupt lines, torn tail)
+    without touching the file: a torn tail is reported, not truncated.
 ``serve [--host H --port P] [--queue-limit N] [--health-check]``
     Run the hardened hom-decision server (:mod:`repro.serve`): hom /
     containment / equivalence / core / treewidth / warm-session edits
@@ -436,9 +436,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             engine.exists_homomorphism(a, b)
     snapshot = engine.snapshot()
     if args.journal:
-        from .resources import SweepJournal
+        from .resources.checkpointing import _ReadOnlyJournal
 
-        snapshot["journal"] = SweepJournal(args.journal).journal_stats()
+        snapshot["journal"] = _ReadOnlyJournal(args.journal).journal_stats()
     print(json.dumps(snapshot, indent=2))
     return 0
 
@@ -626,8 +626,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "the governor) before running/reporting")
     p.add_argument("--journal", default=None,
                    help="also report this sweep journal's integrity "
-                        "stats (legacy/corrupt line counts, torn-tail "
-                        "recoveries)")
+                        "stats (legacy/corrupt line counts, torn tail); "
+                        "read-only")
     p.set_defaults(func=_cmd_stats)
 
     return parser

@@ -57,8 +57,11 @@ class FencedShardJournal(SweepJournal):
         self.owner = owner
         self.guard = guard
         self._fences: Dict[str, Tuple[int, str]] = {}
-        self._fenced_out = 0
         super().__init__(path)
+
+    def _zero_counts(self) -> None:
+        super()._zero_counts()
+        self._fenced_out = 0
 
     # ------------------------------------------------------------------
     def _store(
@@ -103,12 +106,7 @@ class FencedShardJournal(SweepJournal):
         stats["fenced_out"] = self._fenced_out
         return stats
 
-    def compact(self) -> Dict[str, Any]:
-        super().compact()
-        self._fenced_out = 0  # the losing lines are gone from disk now
-        return self.journal_stats()
-
     def reset(self) -> None:
         super().reset()
         self._fences.clear()
-        self._fenced_out = 0
+        self._zero_counts()

@@ -53,7 +53,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Optional
 
 from ..exceptions import LeaseError, LeaseLostError, ValidationError
-from ..resources.checkpointing import _fsync_dir
+from ..resources.checkpointing import _fsync_dir, _replace_file
 from ..resources.governor import DISTRIBUTED
 from .sharding import fence_marker_path, lease_dir, lease_path
 
@@ -348,13 +348,11 @@ class LeaseManager:
 
     def _write(self, lease: Lease) -> None:
         """Replace the lease file atomically (tmp + fsync + rename +
-        directory fsync)."""
+        directory fsync); the tmp name is per writer, so two racing
+        writers never share one."""
         path = lease_path(self.shard_dir, lease.shard)
-        tmp = f"{path}.{lease.owner}.{lease.fence}.tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(lease.payload(), handle, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        _fsync_dir(os.path.dirname(path))
+        _replace_file(
+            path,
+            [json.dumps(lease.payload(), sort_keys=True), "\n"],
+            tmp_path=f"{path}.{lease.owner}.{lease.fence}.tmp",
+        )

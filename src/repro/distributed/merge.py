@@ -5,10 +5,10 @@ the K shard journals of a sweep (each possibly written by several
 runners across steals, kills and retries), it
 
 * **validates** every line's CRC32 checksum, counting corrupt lines,
-  legacy (pre-checksum) lines and torn tails per shard — the same
-  classification :class:`~repro.resources.SweepJournal` applies on
-  recovery, but *read-only*: merging never mutates a shard journal,
-  because a live runner may still be appending to it;
+  legacy (pre-checksum) lines and torn tails per shard with the same
+  scan :class:`~repro.resources.SweepJournal` recovers from, but
+  *read-only*: merging never mutates a shard journal, because a live
+  runner may still be appending to it;
 * **resolves duplicate keys by fencing token** — when the same key was
   written more than once (a stale pre-steal owner racing its thief),
   the record with the highest fencing token wins and the losers are
@@ -35,17 +35,10 @@ byte-for-byte; the shard-kill equivalence tests and the CI
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..resources.checkpointing import (
-    _canonical,
-    _checksum,
-    _fsync_dir,
-    _journal_line,
-)
+from ..resources.checkpointing import JournalScan, _journal_line, _replace_file
 
 #: Record-level fields that legitimately differ between runs (wall
 #: clock) and result-level fields that depend on cache warmth — the
@@ -54,32 +47,28 @@ VOLATILE_RECORD_FIELDS = ("elapsed_s",)
 VOLATILE_RESULT_FIELDS = ("nodes", "backtracks")
 
 
-@dataclass
-class ShardScan:
+class ShardScan(JournalScan):
     """One shard journal, parsed read-only."""
 
-    path: str
-    present: bool = True
-    records: List[Dict[str, Any]] = field(default_factory=list)
-    lines: int = 0
-    corrupt: int = 0
-    legacy: int = 0
-    torn_tail: int = 0
-
-    def integrity(self) -> str:
-        if not self.present:
-            return "missing"
-        if self.corrupt:
-            return "corrupt"
-        if self.torn_tail:
-            return "recovered"
-        return "ok"
+    @property
+    def records(self) -> List[Dict[str, Any]]:
+        """The accepted records with their writer stamps (a legacy
+        line predates fencing: fence 0, no owner)."""
+        return [
+            {
+                "key": str(entry["key"]),
+                "result": entry.get("result"),
+                "fence": 0 if legacy else int(entry.get("fence", 0)),
+                "owner": "" if legacy else str(entry.get("owner", "")),
+            }
+            for entry, legacy in self.entries
+        ]
 
     def stats(self) -> Dict[str, Any]:
         return {
             "path": self.path,
             "present": self.present,
-            "records": len(self.records),
+            "records": len(self.entries),
             "lines": self.lines,
             "corrupt": self.corrupt,
             "legacy": self.legacy,
@@ -93,63 +82,13 @@ def scan_shard_journal(path: str) -> ShardScan:
 
     Unlike :class:`~repro.resources.SweepJournal`, a torn tail is
     *counted but not truncated* — the writer may still be alive and
-    mid-append; only the lease owner repairs its own journal.
+    mid-append; only the lease owner repairs its own journal.  A
+    journal that cannot be read at all is reported as missing.
     """
-    scan = ShardScan(path=path)
     try:
-        with open(path, "rb") as handle:
-            raw = handle.read()
+        return ShardScan.read(path)
     except OSError:
-        scan.present = False
-        return scan
-    lines = raw.decode("utf-8", errors="replace").split("\n")
-    for index, line in enumerate(lines):
-        if index == len(lines) - 1:
-            if line.strip():
-                scan.torn_tail = 1
-            break
-        scan.lines += 1
-        stripped = line.strip()
-        if not stripped:
-            continue
-        record = _parse_line(stripped)
-        if record is None:
-            scan.corrupt += 1
-            continue
-        if record.pop("_legacy", False):
-            scan.legacy += 1
-        scan.records.append(record)
-    return scan
-
-
-def _parse_line(line: str) -> Optional[Dict[str, Any]]:
-    try:
-        entry = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(entry, dict):
-        return None
-    if "crc" in entry and "entry" in entry:
-        inner = entry.get("entry")
-        if not isinstance(inner, dict) or "key" not in inner:
-            return None
-        if _checksum(_canonical(inner)) != entry.get("crc"):
-            return None
-        return {
-            "key": str(inner["key"]),
-            "result": inner.get("result"),
-            "fence": int(inner.get("fence", 0)),
-            "owner": str(inner.get("owner", "")),
-        }
-    if "key" in entry:  # v1 legacy line
-        return {
-            "key": str(entry["key"]),
-            "result": entry.get("result"),
-            "fence": 0,
-            "owner": "",
-            "_legacy": True,
-        }
-    return None
+        return ShardScan(path=path, present=False)
 
 
 def read_done_keys(path: str) -> Dict[str, int]:
@@ -278,17 +217,10 @@ def write_combined_journal(path: str, report: MergeReport) -> str:
     from it directly.  Written atomically (tmp + fsync + rename +
     directory fsync).
     """
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        for key, result in report.results.items():
-            handle.write(_journal_line({"key": key, "result": result}) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    _fsync_dir(directory)
+    _replace_file(path, (
+        _journal_line({"key": key, "result": result}) + "\n"
+        for key, result in report.results.items()
+    ))
     return path
 
 

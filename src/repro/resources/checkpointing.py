@@ -23,12 +23,19 @@ append-only:
 * v1 lines written before checksums existed still load, counted as
   ``legacy`` so operators can tell "old format" from "damage";
 * :meth:`compact` rewrites the journal atomically (tmp file + fsync +
-  ``os.replace``) keeping one checksummed record per key, purging
-  superseded, legacy and corrupt lines.
+  rename + directory fsync) keeping one checksummed record per key,
+  purging superseded, legacy and corrupt lines.
 
 :meth:`journal_stats` summarises all of this and :meth:`integrity`
 folds it into a one-word verdict (``ok`` / ``recovered`` /
 ``corrupt``) surfaced by ``repro sweep`` and ``repro stats``.
+
+Every reader of the format goes through :meth:`JournalScan.read`, one
+read-only pass that classifies each line and finds the byte offset a
+torn tail is cut at; :class:`SweepJournal` folds its entries and
+repairs the file, while ``repro merge-journals`` and ``repro stats
+--journal`` only report.  Every whole-file rewrite — compaction, the
+merged journal, a shard lease — goes through :func:`_replace_file`.
 
 The journal lives under ``benchmarks/results/`` by convention (the same
 directory the paper-style tables are emitted to), but any path works.
@@ -39,7 +46,8 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from typing import Any, Dict, Iterator, Optional
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .governor import DISTRIBUTED
 
@@ -92,6 +100,117 @@ def _journal_line(entry: Dict[str, Any]) -> str:
     )
 
 
+def _replace_file(
+    path: str, chunks: Iterable[str], tmp_path: Optional[str] = None
+) -> None:
+    """Durably replace ``path`` with the concatenated ``chunks``.
+
+    The text goes to ``tmp_path`` (default ``path + ".tmp"``), which is
+    flushed and fsynced before it is renamed over ``path``; the parent
+    directory is fsynced after the rename.  A crash at any point leaves
+    either the old file or the new one, never a mix, and without the
+    directory fsync the rename itself could be lost to power loss.
+    """
+    directory = os.path.dirname(path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    tmp = tmp_path or path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as handle:
+        handle.writelines(chunks)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    _fsync_dir(directory)
+
+
+def _integrity(corrupt: int, torn_tail: int) -> str:
+    """The one integrity rule: damage beats a repaired torn tail."""
+    if corrupt:
+        return "corrupt"
+    if torn_tail:
+        return "recovered"
+    return "ok"
+
+
+@dataclass
+class JournalScan:
+    """One journal file, read and classified without touching it.
+
+    ``entries`` holds every accepted record in file order as
+    ``(entry, legacy)``: the checksummed inner entry of a v2 line, or
+    the whole dict of a v1 line (``legacy`` true).  ``good_end`` is the
+    byte offset just past the last complete line — where recovery cuts
+    a torn tail off.
+    """
+
+    path: str
+    present: bool = True
+    entries: List[Tuple[Dict[str, Any], bool]] = field(default_factory=list)
+    lines: int = 0
+    legacy: int = 0
+    corrupt: int = 0
+    torn_tail: int = 0
+    good_end: int = 0
+
+    @classmethod
+    def read(cls, path: str) -> "JournalScan":
+        """Scan ``path``; a file that does not exist scans as not
+        present (any other read error propagates).
+
+        Lines are split and measured on the raw bytes, so an invalid
+        UTF-8 sequence in a complete line cannot move the truncation
+        offset.  A well-formed journal ends with a newline; a non-blank
+        final chunk is a torn tail (a partial write cut by a hard
+        kill).  Complete lines are blank, a v2 record whose CRC
+        verifies, a v1 legacy record, or corrupt.
+        """
+        try:
+            with open(path, "rb") as handle:
+                raw = handle.read()
+        except FileNotFoundError:
+            return cls(path=path, present=False)
+        *complete, tail = raw.split(b"\n")
+        scan = cls(
+            path=path,
+            lines=len(complete),
+            torn_tail=int(bool(tail.decode("utf-8", "replace").strip())),
+            good_end=len(raw) - len(tail),
+        )
+        for chunk in complete:
+            line = chunk.decode("utf-8", "replace").strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                record = None
+            entry, legacy = None, False
+            if isinstance(record, dict):
+                if "crc" in record and "entry" in record:
+                    inner = record["entry"]
+                    if (
+                        isinstance(inner, dict)
+                        and "key" in inner
+                        and _checksum(_canonical(inner)) == record["crc"]
+                    ):
+                        entry = inner
+                elif "key" in record:
+                    entry, legacy = record, True
+            if entry is None:
+                scan.corrupt += 1
+            else:
+                scan.legacy += legacy
+                scan.entries.append((entry, legacy))
+        return scan
+
+    def integrity(self) -> str:
+        """``missing`` for an absent file, else the journal verdict
+        (see :meth:`SweepJournal.integrity`)."""
+        if not self.present:
+            return "missing"
+        return _integrity(self.corrupt, self.torn_tail)
+
+
 class SweepJournal:
     """Append-only, checksummed JSONL journal of per-instance results.
 
@@ -107,73 +226,34 @@ class SweepJournal:
         self.path = path
         self._results: Dict[str, Any] = {}
         self._lines = 0
+        self._compactions = 0
+        self._zero_counts()
+        self._load()
+
+    def _zero_counts(self) -> None:
+        """Forget the integrity counts of lines no longer on disk
+        (subclasses extend this with their own counts)."""
         self._legacy = 0
         self._corrupt = 0
         self._superseded = 0
         self._torn_tail = 0
-        self._compactions = 0
-        self._load()
 
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
     def _load(self) -> None:
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "rb") as handle:
-            raw = handle.read()
-        good_end = 0  # byte offset just past the last well-formed line
-        offset = 0
-        text = raw.decode("utf-8", errors="replace")
-        lines = text.split("\n")
-        # A well-formed journal ends with "\n", so split() yields a
-        # final empty chunk; anything else in the last slot is a torn
-        # tail (partial write from a hard kill).
-        for index, line in enumerate(lines):
-            is_last = index == len(lines) - 1
-            if is_last:
-                if line.strip():
-                    # Partial final line: recoverable torn tail.
-                    self._torn_tail = 1
-                break
-            offset += len(line.encode("utf-8")) + 1
-            stripped = line.strip()
-            self._lines += 1
-            if not stripped:
-                good_end = offset
-                continue
-            if self._accept_line(stripped):
-                good_end = offset
-            else:
-                self._corrupt += 1
-                DISTRIBUTED.journal_corrupt_lines += 1
-                good_end = offset  # damaged but complete: keep in place
-        if self._torn_tail:
-            DISTRIBUTED.journal_recoveries += 1
-            self._truncate_to(good_end)
-
-    def _accept_line(self, line: str) -> bool:
-        """Parse one complete line; return whether it was accepted."""
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            return False
-        if not isinstance(entry, dict):
-            return False
-        if "crc" in entry and "entry" in entry:
-            inner = entry.get("entry")
-            if not isinstance(inner, dict) or "key" not in inner:
-                return False
-            if _checksum(_canonical(inner)) != entry.get("crc"):
-                return False  # bit rot / garbled write: reject
-            self._store(str(inner["key"]), inner.get("result"), inner)
-            return True
-        if "key" in entry:
-            # v1 line from before checksums existed: accepted, counted.
-            self._legacy += 1
+        scan = JournalScan.read(self.path)
+        self._lines = scan.lines
+        self._legacy = scan.legacy
+        self._corrupt = scan.corrupt
+        self._torn_tail = scan.torn_tail
+        DISTRIBUTED.journal_corrupt_lines += scan.corrupt
+        for entry, _ in scan.entries:
             self._store(str(entry["key"]), entry.get("result"), entry)
-            return True
-        return False
+        if scan.torn_tail:
+            # Damaged but complete lines stay in place; only the
+            # partial final line is cut off.
+            self._truncate_to(scan.good_end)
 
     def _store(
         self, key: str, result: Any, entry: Optional[Dict[str, Any]] = None
@@ -188,6 +268,7 @@ class SweepJournal:
         self._results[key] = result
 
     def _truncate_to(self, size: int) -> None:
+        DISTRIBUTED.journal_recoveries += 1
         with open(self.path, "r+b") as handle:
             handle.truncate(size)
             handle.flush()
@@ -249,11 +330,7 @@ class SweepJournal:
             parse — those records were lost to damage (not to a clean
             kill) and are reported rather than silently skipped.
         """
-        if self._corrupt:
-            return "corrupt"
-        if self._torn_tail:
-            return "recovered"
-        return "ok"
+        return _integrity(self._corrupt, self._torn_tail)
 
     # ------------------------------------------------------------------
     # Writing
@@ -295,31 +372,16 @@ class SweepJournal:
         """Atomically rewrite the journal: one v2 record per key.
 
         Superseded, legacy and corrupt lines are purged; the rewrite
-        goes through a tmp file that is fsynced and ``os.replace``d over
-        the journal, so a crash at any point leaves either the old file
-        or the new one — never a mix.  The parent directory is fsynced
-        after the rename: without it the rename itself may be lost to
-        power loss and the "compacted" journal silently revert.
-        Returns :meth:`journal_stats` of the compacted journal.
+        goes through :func:`_replace_file`, so a crash at any point leaves
+        either the old file or the new one — never a mix.  Returns
+        :meth:`journal_stats` of the compacted journal.
         """
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        tmp_path = self.path + ".tmp"
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            for key, result in self._results.items():
-                handle.write(
-                    _journal_line(self._record_entry(key, result)) + "\n"
-                )
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, self.path)
-        _fsync_dir(directory)
+        _replace_file(self.path, (
+            _journal_line(self._record_entry(key, result)) + "\n"
+            for key, result in self._results.items()
+        ))
         self._lines = len(self._results)
-        self._legacy = 0
-        self._corrupt = 0
-        self._superseded = 0
-        self._torn_tail = 0
+        self._zero_counts()
         self._compactions += 1
         DISTRIBUTED.journal_compactions += 1
         return self.journal_stats()
@@ -339,3 +401,12 @@ class SweepJournal:
         if os.path.exists(self.path):
             os.remove(self.path)
             _fsync_dir(os.path.dirname(self.path))
+
+
+class _ReadOnlyJournal(SweepJournal):
+    """A journal loaded only to report on it (``repro stats
+    --journal``): a torn tail is counted, never cut off, because only a
+    lease owner truncates and a live writer may still be appending."""
+
+    def _truncate_to(self, size: int) -> None:
+        pass

@@ -193,6 +193,27 @@ class TestStats:
         finally:
             self._fresh()
 
+    def test_stats_journal_is_read_only(self, tmp_path, capsys):
+        """Reporting never repairs: a torn tail stays on disk (a live
+        writer may still be appending) and is reported as recovered."""
+        from repro.resources import SweepJournal
+
+        journal = tmp_path / "j.jsonl"
+        SweepJournal(str(journal)).record("a", 1)
+        with open(journal, "a", encoding="utf-8") as handle:
+            handle.write('{"v": 2, "crc": "torn')
+        before = journal.read_bytes()
+        self._fresh()
+        try:
+            assert main(["stats", "--journal", str(journal)]) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert data["journal"]["torn_tail"] == 1
+            assert data["journal"]["integrity"] == "recovered"
+            assert data["journal"]["records"] == 1
+            assert journal.read_bytes() == before
+        finally:
+            self._fresh()
+
 
 class TestSweep:
     def test_sweep_only_filter_with_journal(self, tmp_path, capsys):

@@ -124,6 +124,26 @@ class TestTornTails:
         assert stats["integrity"] == "ok"
         assert stats["records"] == 1
 
+    def test_invalid_utf8_line_does_not_shift_the_cut(self, tmp_path):
+        """Offsets are raw bytes: a complete line holding invalid UTF-8
+        (bit rot) must not move where the torn tail is cut, or a
+        fragment of the tail survives and the next record is glued
+        onto it."""
+        intact = v2_line("a", 1).encode() + b"\xff\xfe\n"
+        path = str(tmp_path / "journal.jsonl")
+        with open(path, "wb") as handle:
+            handle.write(intact + b'{"crc": "torn')
+        journal = SweepJournal(path)
+        assert journal.journal_stats()["corrupt"] == 1
+        with open(path, "rb") as handle:
+            assert handle.read() == intact
+        journal.record("b", 2)
+        reloaded = SweepJournal(path)
+        assert sorted(reloaded.keys()) == ["a", "b"]
+        stats = reloaded.journal_stats()
+        assert stats["corrupt"] == 1  # the rotten line, nothing more
+        assert stats["torn_tail"] == 0
+
 
 class TestBadChecksums:
     def test_wrong_crc_is_corrupt(self, tmp_path):

@@ -18,6 +18,7 @@ asserts
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -42,6 +43,7 @@ from repro.structures import (
 
 GRAPH = Vocabulary({"E": 2})
 COLORED = Vocabulary({"E": 2, "P": 1})
+TERNARY = Vocabulary({"T": 3})
 
 
 def _random_pair(vocabulary, seed):
@@ -233,3 +235,84 @@ def test_kernel_raw_solver_raises_typed_resource_error():
     with pytest.raises(ResourceError):
         with governed(budget=1):
             BitsetHomomorphismSolver(source, target).first()
+
+
+# ----------------------------------------------------------------------
+# Ternary facts that repeat a variable
+# ----------------------------------------------------------------------
+# On a fact like T(x, y, x) the reference solver propagates more weakly
+# than the kernel's GAC (a tuple with t[0] != t[2] still supports y
+# there), so the two may expand different trees.  Node counts are
+# therefore not compared; verdicts, the set of all homomorphisms and
+# their number must still agree with brute force.
+def _ternary_pair(seed):
+    rng = random.Random(seed)
+    size = rng.randint(2, 4)
+    universe = list(range(size))
+    facts = set(random_structure(
+        TERNARY, size, 0.08, seed=rng.randrange(1 << 30)
+    ).relation("T"))
+    for _ in range(rng.randint(1, 3)):
+        x, y = rng.choice(universe), rng.choice(universe)
+        facts.add(rng.choice([(x, y, x), (x, x, y), (y, x, x)]))
+    source = Structure(TERNARY, universe, {"T": sorted(facts)})
+    target = random_structure(
+        TERNARY, rng.randint(2, 3), rng.choice((0.2, 0.35, 0.5)),
+        seed=rng.randrange(1 << 30),
+    )
+    return source, target
+
+
+def _all_homomorphisms(source, target, pinned, forbidden):
+    src = list(source.universe)
+    allowed = [t for t in target.universe if t not in forbidden]
+    found = set()
+    for images in itertools.product(allowed, repeat=len(src)):
+        mapping = dict(zip(src, images))
+        if all(mapping[a] == b for a, b in pinned.items()) and (
+            is_homomorphism(source, target, mapping)
+        ):
+            found.add(frozenset(mapping.items()))
+    return found
+
+
+def _agree_with_brute_force(source, target, pinned=None, forbidden=()):
+    options = {"pinned": pinned or {}, "forbidden_images": set(forbidden)}
+    expected = _all_homomorphisms(
+        source, target, options["pinned"], options["forbidden_images"]
+    )
+    for solver in (
+        HomomorphismSearch(source, target, **options),
+        BitsetHomomorphismSolver(source, CompiledTarget(target), **options),
+    ):
+        assert (solver.first() is None) == (not expected), solver
+    for solver in (
+        HomomorphismSearch(source, target, **options),
+        BitsetHomomorphismSolver(source, CompiledTarget(target), **options),
+    ):
+        solutions = [frozenset(h.items()) for h in solver.solutions()]
+        assert len(solutions) == len(expected), solver
+        assert set(solutions) == expected, solver
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_ternary_repeated_variables_match_brute_force(seed):
+    source, target = _ternary_pair(seed)
+    assert any(len(set(fact)) < 3 for fact in source.relation("T"))
+    _agree_with_brute_force(source, target)
+    pin = {source.universe[0]: target.universe[seed % len(target)]}
+    _agree_with_brute_force(source, target, pinned=pin)
+    _agree_with_brute_force(
+        source, target, forbidden=[target.universe[seed % len(target)]]
+    )
+
+
+def test_weaker_reference_propagation_keeps_enumerations_equal():
+    """The seeded instance on which the two trees differ in size (the
+    reference expands more nodes) still yields equal enumerations."""
+    from .test_kernel_propagation import _instance
+
+    source, target, pinned, forbidden = _instance(10)
+    assert (1, 4, 1) in source.relation("T")
+    _agree_with_brute_force(source, target, pinned, forbidden)
+
