@@ -3,8 +3,6 @@
 Races the incremental engine against a from-scratch baseline on
 small-edit streams over mutating structures, one stream per workload:
 
-* ``fingerprint`` — WL fingerprint maintenance: ``apply_delta`` with
-  retained refinement history vs a full recompute on a rebuilt twin.
 * ``hom-true`` — a TRUE homomorphism query under benign edits: warm
   witness revalidation vs a fresh governed search per edit.
 * ``hom-false`` — a FALSE query under hardening edits: monotonicity
@@ -32,13 +30,11 @@ import time
 from repro.datalog.evaluation import evaluate_semi_naive
 from repro.datalog.program import parse_program
 from repro.engine.engine import HomEngine
-from repro.engine.fingerprint import structure_fingerprint
 from repro.engine.instrumentation import INCREMENTAL
 from repro.incremental import (
     Delta,
     IncrementalFixpoint,
     IncrementalHomSession,
-    apply_delta,
 )
 from repro.structures import (
     Structure,
@@ -71,35 +67,6 @@ def _timed(fn):
 # ----------------------------------------------------------------------
 # Workloads — each yields (incr_s, scratch_s, agree) per step
 # ----------------------------------------------------------------------
-def fingerprint_stream(steps, seed=0, n=600):
-    # A sparse random digraph: WL colors converge in a few rounds, so
-    # the edit's refinement radius stays far below the fallback frontier.
-    rng = random.Random(seed)
-    facts = sorted(
-        {(i, (i + 1) % n) for i in range(n)}
-        | {(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)}
-    )
-    current = Structure(GRAPH, range(n), {"E": facts})
-    current, _ = apply_delta(current, Delta(add_facts=[("E", (0, n // 2))]))
-    for _ in range(steps):
-        a, b = rng.randrange(n), rng.randrange(n)
-        if current.has_fact("E", (a, b)):
-            delta = Delta(remove_facts=[("E", (a, b))])
-        else:
-            delta = Delta(add_facts=[("E", (a, b))])
-
-        def incr():
-            edited, record = apply_delta(current, delta)
-            return edited, record.new_fingerprint
-
-        incr_s, (edited, got) = _timed(incr)
-        scratch_s, want = _timed(
-            lambda: structure_fingerprint(rebuilt(edited))
-        )
-        current = edited
-        yield incr_s, scratch_s, got == want
-
-
 def hom_true_stream(steps, seed=1, n=450, edges=600):
     # A random 3-colorable source (hidden 3-partition, cross-class
     # edges only) mapping into the triangle.  Toggling cross-class
@@ -218,7 +185,6 @@ def datalog_stream(steps, seed=3, components=40, length=7):
 
 
 WORKLOADS = {
-    "fingerprint": fingerprint_stream,
     "hom-true": hom_true_stream,
     "hom-false": hom_false_stream,
     "datalog": datalog_stream,

@@ -417,8 +417,9 @@ def run_batch_compare(repeat: int) -> dict:
 def dp_compare_workload():
     """DP-eligible instances: large low-treewidth sources.
 
-    Cycles and paths have treewidth <= 2, so with ``dp_min_vars=8``
-    every instance here routes through the tree-decomposition DP.
+    Cycles and paths have treewidth <= 2 and every source here has at
+    least :data:`~repro.kernel.dp.DP_MIN_VARS` variables, so every
+    instance routes through the tree-decomposition DP.
     """
     return [
         ("even-cycle-12-vs-k2", undirected_cycle(12), undirected_path(2)),
@@ -442,7 +443,7 @@ def run_dp_compare(repeat: int) -> dict:
     """
     from _json import write_bench_json
 
-    dp_engine = HomEngine(cache_enabled=False, use_dp=True, dp_min_vars=8)
+    dp_engine = HomEngine(cache_enabled=False, use_dp=True)
     bt_engine = HomEngine(cache_enabled=False, use_dp=False)
     rows = []
     disagreements = []

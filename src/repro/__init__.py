@@ -28,8 +28,8 @@ Subpackages
     memo cache, counters/timers behind ``python -m repro stats``).
 ``repro.incremental``
     The incremental engine: delta edits over mutating structures,
-    delta-maintained WL fingerprints, fine-grained cache invalidation,
-    warm-start re-decision and DRed Datalog maintenance.
+    fine-grained cache invalidation, warm-start re-decision and DRed
+    Datalog maintenance.
 ``repro.logic``
     First-order syntax, parser, semantics, fragments, normal forms.
 ``repro.cq``

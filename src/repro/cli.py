@@ -25,8 +25,8 @@ JSON-serialized structures (see :mod:`repro.structures.io`):
 [--reset] [--journal PATH]``
     Dump the hom-engine's solver/cache counters as JSON (optionally
     after exercising a homomorphism query ``N`` times first), including
-    the ``incremental`` section (delta-fingerprint hits/fallbacks,
-    fine-grained invalidations, warm starts, DRed maintenance), the
+    the ``incremental`` section (edit fingerprints, fine-grained
+    invalidations, warm starts, DRed maintenance), the
     ``distributed`` section (lease claims/renewals/steals), and the
     ``serve`` section (requests accepted/rejected/shed, breaker
     trips/probes, drains, and p50/p99 end-to-end latency);

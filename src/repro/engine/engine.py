@@ -103,9 +103,6 @@ class HomEngine:
         programming over a nice decomposition instead of backtracking.
         Plans the gate rejects (large/UNKNOWN width, injective queries,
         unaffordable table bound) fall back to backtracking silently.
-    dp_min_vars:
-        Override for the DP gate's minimum source size (default
-        :data:`repro.kernel.dp.DP_MIN_VARS`).
     """
 
     def __init__(
@@ -114,18 +111,13 @@ class HomEngine:
         cache_enabled: bool = True,
         use_kernel: bool = True,
         use_dp: bool = True,
-        dp_min_vars: Optional[int] = None,
     ) -> None:
         from ..kernel.compile import CompiledTargetCache
-        from ..kernel.dp import DP_MIN_VARS
 
         self.cache = HomCache(DEFAULT_CACHE_SIZE)
         self.cache_enabled = cache_enabled
         self.use_kernel = use_kernel
         self.use_dp = use_dp
-        self.dp_min_vars = (
-            dp_min_vars if dp_min_vars is not None else DP_MIN_VARS
-        )
         self.compiled_targets = CompiledTargetCache()
         self.stats = SolverStats()
 
@@ -308,10 +300,7 @@ class HomEngine:
                     from ..kernel.dp import plan_dp
 
                     plan = plan_dp(
-                        source,
-                        compiled.size(),
-                        injective=injective,
-                        min_vars=self.dp_min_vars,
+                        source, compiled.size(), injective=injective
                     )
                 if plan is not None:
                     from ..kernel.dp import TreewidthDPSolver

@@ -30,12 +30,6 @@ never trusts the fingerprint alone: buckets are verified by structure
 equality before a hit is returned.  The fingerprint is purely an index,
 so a collision costs a cache miss, never a wrong answer.
 
-The per-element helpers (:func:`incidence`, :func:`constant_codes`,
-:func:`seed_color`, :func:`refine_color`) are shared with the
-incremental engine (:mod:`repro.incremental.fingerprint`), which
-recolors only an edit's refinement radius and so produces bit-identical
-digests.
-
 The digest is cached on the :class:`~repro.structures.structure.Structure`
 instance (structures are immutable; mutating operations such as
 ``with_fact`` build fresh instances whose slot starts out empty, which
@@ -155,19 +149,6 @@ def refinement_rounds(structure: "Structure") -> Iterator[Dict[Hashable, int]]:
         if refined_classes == num_classes:
             break
         num_classes = refined_classes
-
-
-def refinement_history(structure: "Structure") -> List[Dict[Hashable, int]]:
-    """Every coloring of :func:`refinement_rounds` as a list:
-    ``history[k]`` is the coloring after ``k`` rounds.
-
-    The incremental engine (:mod:`repro.incremental.fingerprint`)
-    retains this history on edited structures so a later edit can
-    re-hash only the elements inside its refinement radius — a clean
-    element's round-``k`` color is read from ``history[k]`` instead of
-    being recomputed.
-    """
-    return list(refinement_rounds(structure))
 
 
 def fingerprint_from_colors(

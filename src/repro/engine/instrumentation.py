@@ -115,15 +115,14 @@ class IncrementalStats:
     Attributes
     ----------
     fingerprint_delta_hits:
-        Edits whose WL fingerprint was recomputed incrementally (only
-        the dirty frontier re-hashed).
+        Always 0: edits are fingerprinted from scratch.  The key stays
+        so the ``stats`` key set does not change.
     fingerprint_full_recomputes:
-        Edits that fell back to a full fingerprint recompute (no
-        retained history, frontier past the threshold, or more
-        refinement rounds needed than the old run recorded).
+        Edited structures fingerprinted (each from scratch, once, the
+        first time its :class:`~repro.incremental.delta.EditRecord` is
+        asked for the new fingerprint).
     fingerprint_dirty_elements:
-        Total peak dirty-frontier sizes across delta hits (divide by
-        ``fingerprint_delta_hits`` for the mean refinement radius).
+        Always 0, kept like ``fingerprint_delta_hits``.
     incr_evictions:
         Memo/compiled entries evicted by fine-grained edit
         invalidation (only entries whose side actually changed).

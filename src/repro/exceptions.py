@@ -375,12 +375,3 @@ class ServeConnectionError(ServeError):
     Raised after the client's retry policy exhausted its reconnection
     attempts; carries the last underlying OS-level error message.
     """
-
-
-class JournalCorruptionError(ReproError):
-    """A sweep journal failed an integrity check that cannot be repaired.
-
-    Torn tails (a partial final line from a hard kill mid-write) are
-    recovered automatically by truncation; this error is reserved for
-    damage recovery cannot make safe, e.g. an unreadable journal file
-    or a failed atomic compaction."""

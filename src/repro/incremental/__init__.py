@@ -1,18 +1,16 @@
 """The incremental engine: edit streams over mutating structures.
 
 Everything in this package exists to make the *second* decision about a
-structure cheap.  The four layers, bottom to top:
+structure cheap.  The three layers, bottom to top:
 
 * :mod:`repro.incremental.delta` — structure edits as invertible
   :class:`~repro.incremental.delta.Delta` values;
   :func:`~repro.incremental.delta.apply_delta` applies one immutably
   and returns an :class:`~repro.incremental.delta.EditRecord`.
-* :mod:`repro.incremental.fingerprint` — delta-maintained WL
-  fingerprints: only the edit's refinement radius is re-hashed, with
-  an exact from-scratch fallback (the digest is always bit-identical).
 * fine-grained cache invalidation —
   :meth:`repro.engine.engine.HomEngine.invalidate_edit` evicts only
-  memo/compiled entries mentioning the edited side's old fingerprint.
+  memo/compiled entries mentioning the edited side's old fingerprint;
+  it is where a session's edit gets its one from-scratch fingerprint.
 * :mod:`repro.incremental.warm` /
   :mod:`repro.incremental.datalog` — warm-start re-decision for
   hom/containment/core queries (witness revalidation + monotonicity)
@@ -28,10 +26,10 @@ from .._lazy import lazy_exports
 
 _EXPORTS = {
     "datalog": ("IncrementalFixpoint",),
-    "delta": ("Delta", "EditRecord", "apply_delta"),
-    "fingerprint": (
-        "fingerprint_with_history", "incremental_fingerprint",
+    "delta": (
+        "Delta", "EditRecord", "apply_delta", "incremental_fingerprint",
     ),
+    "fingerprint": ("fingerprint_with_history",),
     "warm": (
         "IncrementalCoreSession", "IncrementalHomSession",
         "incremental_containment_session",

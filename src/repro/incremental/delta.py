@@ -7,12 +7,11 @@ stay immutable; the edited structure is a fresh instance) and returns
 an :class:`EditRecord` carrying everything the rest of the incremental
 engine keys off:
 
-* both fingerprints (the new one delta-maintained through
-  :func:`repro.incremental.fingerprint.incremental_fingerprint`
-  whenever the edit's refinement radius allows it),
+* both fingerprints, computed from scratch the first time they are
+  read (an edit nobody asks about — a Datalog fixpoint's — never pays
+  for one),
 * the **touched** element set (every element of an added/removed fact
-  plus every added/removed element) — the seed of fingerprint dirt and
-  of warm-start reasoning, and
+  plus every added/removed element), and
 * the edit's **direction** per side (:meth:`Delta.hardens` /
   :meth:`Delta.loosens`), which is what lets warm-start re-decision
   keep a FALSE verdict without any search when the edit can only
@@ -29,11 +28,12 @@ equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Hashable, Iterable, Set, Tuple
 
+from ..engine.instrumentation import INCREMENTAL
 from ..exceptions import ValidationError
 from ..structures.structure import Structure
-from .fingerprint import incremental_fingerprint
 
 Element = Hashable
 Fact = Tuple[str, Tuple[Element, ...]]
@@ -108,21 +108,34 @@ class Delta:
         return not (self.add_elements or self.add_facts)
 
 
+def incremental_fingerprint(new: Structure) -> str:
+    """The edited structure's fingerprint, counted as an edit's
+    recompute.  Kept as a name because the layered benchmark traces
+    edit fingerprints through it."""
+    INCREMENTAL.fingerprint_full_recomputes += 1
+    return new.fingerprint()
+
+
 @dataclass(frozen=True)
 class EditRecord:
     """What one :func:`apply_delta` call learned about its edit."""
 
     delta: Delta
-    old_fingerprint: str
-    new_fingerprint: str
+    before: Structure
+    after: Structure
     touched: FrozenSet[Element] = field(default_factory=frozenset)
-    #: Whether the new fingerprint was delta-maintained (``False`` ⇒
-    #: exact from-scratch fallback — same digest either way).
-    incremental: bool = False
-    #: Final dirty-frontier size of the incremental recompute.
-    dirty_elements: int = 0
-    #: Refinement rounds replayed.
-    rounds: int = 0
+
+    @property
+    def old_fingerprint(self) -> str:
+        """The fingerprint before the edit (cached on ``before``)."""
+        return self.before.fingerprint()
+
+    @cached_property
+    def new_fingerprint(self) -> str:
+        """The fingerprint after the edit, computed on first read."""
+        # Looked up per call, so a wrapper installed on this module
+        # (the layered benchmark's tracer) sees it.
+        return incremental_fingerprint(self.after)
 
     def unchanged(self) -> bool:
         """Whether the edit left the fingerprint (hence every cache key
@@ -213,11 +226,8 @@ def apply_delta(
 ) -> Tuple[Structure, EditRecord]:
     """Apply ``delta`` to ``structure`` immutably.
 
-    Returns ``(edited, record)``.  The edited structure's fingerprint
-    is delta-maintained (only the edit's refinement radius re-hashed,
-    with an exact full recompute where that does not pay); the digest
-    is identical to a from-scratch computation and the per-round color
-    history is installed on the result so the chain can continue.  Raises
+    Returns ``(edited, record)``; the record's fingerprints are
+    computed the first time they are read.  Raises
     :class:`~repro.exceptions.ValidationError` when the delta does not
     round-trip (adding present facts, removing absent ones, removing
     non-isolated elements, …).
@@ -238,23 +248,5 @@ def apply_delta(
     edited = Structure(
         structure.vocabulary, universe, relations, structure.constants
     )
-
-    touched = delta.touched_elements()
-    # Looked up per call, so a wrapper installed on the fingerprint
-    # module (the layered benchmark's tracer) sees this call too.
-    from .fingerprint import fingerprint_with_history
-
-    old_fp = fingerprint_with_history(structure)
-    new_fp, was_incremental, dirty, rounds = incremental_fingerprint(
-        structure, edited, touched, delta=delta
-    )
-    record = EditRecord(
-        delta=delta,
-        old_fingerprint=old_fp,
-        new_fingerprint=new_fp,
-        touched=touched,
-        incremental=was_incremental,
-        dirty_elements=dirty,
-        rounds=rounds,
-    )
+    record = EditRecord(delta, structure, edited, delta.touched_elements())
     return edited, record

@@ -30,7 +30,7 @@ deadline can interrupt a batch between (or inside) queries.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from ..engine.cache import MISS, VerifiedLRU
 from ..resources.governor import RunContext, current_context
@@ -148,24 +148,3 @@ class BatchSolveSession:
         witness = solver.first()
         self._memo.put(key, (source,), witness)
         return dict(witness) if witness is not None else None
-
-    def solve_all(
-        self,
-        sources: Iterable[Structure],
-        *,
-        injective: bool = False,
-        pinned: Optional[Mapping[Element, Element]] = None,
-        forbidden_images: Iterable[Element] = (),
-        propagate: bool = True,
-    ) -> List[Optional[Homomorphism]]:
-        """One witness-or-``None`` per source, in order."""
-        return [
-            self.solve(
-                source,
-                injective=injective,
-                pinned=pinned,
-                forbidden_images=forbidden_images,
-                propagate=propagate,
-            )
-            for source in sources
-        ]

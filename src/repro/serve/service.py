@@ -60,10 +60,12 @@ from ..structures.structure import Structure
 from .breaker import CircuitBreaker
 from .protocol import decode_structure
 
-# HomEngine.core imports these on first use; importing them with the
-# service keeps that import out of the first core request.
+# HomEngine imports these on first use (core, batches, the DP gate);
+# importing them with the service keeps that import out of the first
+# request.
 from ..homomorphism import cores as _cores  # noqa: F401
 from ..kernel import batch as _batch  # noqa: F401
+from ..kernel import dp as _dp  # noqa: F401
 
 #: Default cap on concurrently retained warm sessions.
 DEFAULT_MAX_SESSIONS = 128

@@ -58,8 +58,7 @@ class Structure:
     """
 
     __slots__ = ("_vocabulary", "_universe", "_universe_set", "_relations",
-                 "_constants", "_hash", "_fingerprint", "_wl_history",
-                 "_wl_counters", "_wl_adjacency")
+                 "_constants", "_hash", "_fingerprint")
 
     def __init__(
         self,
@@ -118,18 +117,6 @@ class Structure:
         self._constants: Dict[str, Element] = consts
         self._hash: Optional[int] = None
         self._fingerprint: Optional[str] = None
-        # Per-round WL color history, retained only on structures that
-        # flow through the incremental edit API (repro.incremental) —
-        # it is what lets the next edit re-hash only its refinement
-        # radius.  Plain fingerprint() calls leave it None.
-        # _wl_counters mirrors _wl_history with one color-multiplicity
-        # Counter per round, so the incremental replay can track class
-        # counts in O(dirty) instead of rescanning every element.
-        # _wl_adjacency caches (incident-fact lists, adjacency sets)
-        # per element, advanced copy-on-write across edits.
-        self._wl_history = None
-        self._wl_counters = None
-        self._wl_adjacency = None
 
     # ------------------------------------------------------------------
     # Accessors

@@ -145,7 +145,6 @@ class TestIncrementalFingerprint:
             range(n),
             {"E": [(i, (i + 1) % n) for i in range(n)]},
         )
-        before = INCREMENTAL.fingerprint_delta_hits
         cur, _ = apply_delta(s, Delta(add_facts=[("E", (0, 2))]))
         for step in range(10):
             a = rng.randrange(n)
@@ -158,26 +157,56 @@ class TestIncrementalFingerprint:
             assert record.new_fingerprint == structure_fingerprint(
                 rebuilt(cur)
             )
-        assert INCREMENTAL.fingerprint_delta_hits > before
+        back, record = apply_delta(s, Delta(add_facts=[("E", (0, 5))]))
+        back, record = apply_delta(back, Delta(remove_facts=[("E", (0, 5))]))
+        assert record.new_fingerprint == s.fingerprint()
 
-    def test_first_edit_falls_back_to_full(self):
-        s = undirected_path(5)
-        before = INCREMENTAL.fingerprint_full_recomputes
-        _, record = apply_delta(s, Delta(add_facts=[("E", (0, 4))]))
-        # The *source* has no retained history on the very first edit.
-        assert INCREMENTAL.fingerprint_full_recomputes > before
-        assert not record.incremental
+    def test_fixpoint_edits_compute_no_fingerprint(self, monkeypatch):
+        import repro.engine.fingerprint as fingerprint
 
-    def test_chain_retains_history_and_goes_incremental(self):
-        n = 30
-        s = Structure(
-            GRAPH, range(n), {"E": [(i, (i + 1) % n) for i in range(n)]}
+        calls = []
+        for name in ("structure_fingerprint", "refinement_rounds"):
+            real = getattr(fingerprint, name)
+            monkeypatch.setattr(
+                fingerprint, name,
+                lambda s, real=real, name=name: calls.append(name) or real(s),
+            )
+        fix = IncrementalFixpoint(
+            parse_program(
+                "T(x, y) <- E(x, y).\nT(x, z) <- E(x, y), T(y, z).", GRAPH
+            ),
+            directed_path(6),
         )
-        cur, first = apply_delta(s, Delta(add_facts=[("E", (0, 5))]))
-        cur, second = apply_delta(cur, Delta(remove_facts=[("E", (0, 5))]))
-        assert second.incremental
-        assert second.dirty_elements < n
-        assert second.new_fingerprint == s.fingerprint()
+        fix.relation("T")
+        fix.apply(Delta(add_facts=[("E", (5, 0))]))
+        fix.apply(Delta(remove_facts=[("E", (2, 3))]))
+        assert fix.relation("T") == set(
+            evaluate_semi_naive(fix.program, fix.structure).relations["T"]
+        )
+        assert calls == []
+        assert fix.structure._fingerprint is None
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_session_edit_computes_one_digest(self, monkeypatch, side):
+        import repro.engine.fingerprint as fingerprint
+
+        real = fingerprint.structure_fingerprint
+        digests = []
+        monkeypatch.setattr(
+            fingerprint, "structure_fingerprint",
+            lambda s: digests.append(real(s)) or digests[-1],
+        )
+        session = IncrementalHomSession(
+            undirected_cycle(6), undirected_path(3), engine=HomEngine()
+        )
+        assert session.decide().is_true
+        edit = session.edit_source if side == "source" else session.edit_target
+        fact = ("E", (0, 2)) if side == "source" else ("E", (0, 0))
+        for delta in [Delta(add_facts=[fact]), Delta(remove_facts=[fact])] * 2:
+            digests.clear()
+            edit(delta)
+            assert digests == [real(rebuilt(getattr(session, side)))]
+            assert session.last_record.new_fingerprint == digests[0]
 
 
 # ----------------------------------------------------------------------

@@ -365,7 +365,7 @@ def test_dp_budget_trips_yield_unknown_never_wrong(budget):
 def test_dp_engine_verdict_is_trivalent_under_budget():
     """Through the engine facade the DP path's trips surface as UNKNOWN
     verdicts, exactly like the backtracking path."""
-    engine = HomEngine(cache_enabled=False, use_dp=True, dp_min_vars=1)
+    engine = HomEngine(cache_enabled=False, use_dp=True)
     with governed(budget=1):
         verdict = engine.decide_homomorphism(
             undirected_cycle(13), undirected_path(2)

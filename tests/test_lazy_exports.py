@@ -273,11 +273,13 @@ HASH_FREE_PATHS = {
     "edit": """
         from repro.incremental.delta import Delta, apply_delta
         from repro.structures import undirected_cycle
-        edited, record = apply_delta(
+        edited, first = apply_delta(
             undirected_cycle(40), Delta(add_facts=(("E", (0, 2)),)))
         edited, record = apply_delta(
             edited, Delta(remove_facts=(("E", (0, 2)),)))
-        ok = record.incremental and edited == undirected_cycle(40)
+        ok = (record.new_fingerprint == first.old_fingerprint
+              != first.new_fingerprint
+              and edited == undirected_cycle(40))
     """,
 }
 
