@@ -141,8 +141,9 @@ class IncrementalStats:
     dred_overdeleted / dred_rederived:
         IDB tuples overdeleted and rederived across those applies.
     dred_full_recomputes:
-        Datalog deltas that recomputed the fixpoint from scratch
-        (ablation switch, or state invalidated by a governor trip).
+        Datalog deltas whose maintenance a governor trip interrupted;
+        the fixpoint state is dropped and recomputed from scratch on
+        the next read.
     """
 
     fingerprint_delta_hits: int = 0

@@ -9,9 +9,7 @@ engine keys off:
 
 * both fingerprints, computed from scratch the first time they are
   read (an edit nobody asks about — a Datalog fixpoint's — never pays
-  for one),
-* the **touched** element set (every element of an added/removed fact
-  plus every added/removed element), and
+  for one), and
 * the edit's **direction** per side (:meth:`Delta.hardens` /
   :meth:`Delta.loosens`), which is what lets warm-start re-decision
   keep a FALSE verdict without any search when the edit can only
@@ -27,9 +25,9 @@ equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Hashable, Iterable, Set, Tuple
+from typing import Dict, Hashable, Iterable, Set, Tuple
 
 from ..engine.instrumentation import INCREMENTAL
 from ..exceptions import ValidationError
@@ -80,17 +78,6 @@ class Delta:
             or self.add_facts or self.remove_facts
         )
 
-    def touched_elements(self) -> FrozenSet[Element]:
-        """Every element whose incidence the edit can change: elements
-        of added/removed facts plus added/removed elements."""
-        touched: Set[Element] = set(self.add_elements)
-        touched.update(self.remove_elements)
-        for _name, tup in self.add_facts:
-            touched.update(tup)
-        for _name, tup in self.remove_facts:
-            touched.update(tup)
-        return frozenset(touched)
-
     # ------------------------------------------------------------------
     # Direction (the monotonicity the warm-start layer reasons with)
     # ------------------------------------------------------------------
@@ -123,7 +110,6 @@ class EditRecord:
     delta: Delta
     before: Structure
     after: Structure
-    touched: FrozenSet[Element] = field(default_factory=frozenset)
 
     @property
     def old_fingerprint(self) -> str:
@@ -248,5 +234,5 @@ def apply_delta(
     edited = Structure(
         structure.vocabulary, universe, relations, structure.constants
     )
-    record = EditRecord(delta, structure, edited, delta.touched_elements())
+    record = EditRecord(delta, structure, edited)
     return edited, record

@@ -40,8 +40,8 @@ expansion checkpoints ``hom.search`` and every fact revision checkpoints
 ``hom.propagate`` on the ambient :class:`~repro.resources.RunContext`,
 so deadlines, budgets, cancellation and the chaos harness govern the
 compiled path exactly as they govern the reference solver.  The
-reference solver remains the differential oracle and is selectable via
-``HomEngine(use_kernel=False)`` or the CLI/bench ``--no-kernel`` flags.
+reference solver stays selectable via ``HomEngine(use_kernel=False)``
+or ``repro stats --no-kernel``.
 """
 
 from .._lazy import lazy_exports

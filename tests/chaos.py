@@ -22,17 +22,16 @@ outcome:
 
 ``tests/test_chaos.py`` drives hundreds of seeded trials, asserts no
 trial is ``invalid``, that each fault kind actually fired, and that the
-memo cache still satisfies the brute-force differential oracle after the
-injection storm (a trip must never corrupt a cached answer).
+memo cache still agrees with the shared oracle of :mod:`tests.oracle`
+after the injection storm (a trip must never corrupt a cached answer).
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.engine import HomEngine
 from repro.exceptions import (
@@ -41,25 +40,17 @@ from repro.exceptions import (
     OperationCancelledError,
     ReproError,
 )
-from repro.homomorphism import is_homomorphism
 from repro.parallel import RetryPolicy, run_sweep, serial_map
 from repro.parallel.faults import faulty_task
 from repro.resources import RunContext, SweepJournal, Verdict, governed
-from repro.structures import (
-    Structure,
-    Vocabulary,
-    random_structure,
-    single_edge,
-    undirected_cycle,
-    undirected_path,
-)
+from repro.structures import Structure
+
+from .oracle import Case, agrees, structure_pool
 
 #: Per-trial wall-clock cap: even a trial whose faults never fire must
 #: finish well within this (the pool instances are all sub-second), so a
 #: governed deadline this long is purely an anti-hang backstop.
 HANG_CAP_S = 10.0
-
-GRAPH = Vocabulary({"E": 2})
 
 FAULT_KINDS = ("deadline", "budget", "cancel", "evict")
 
@@ -132,39 +123,6 @@ class FaultInjector:
 
 
 # ----------------------------------------------------------------------
-# The structure pool
-# ----------------------------------------------------------------------
-def structure_pool() -> List[Structure]:
-    """Small deterministic structures, reused across trials so the memo
-    cache sees recurring keys (and evictions hit warm entries)."""
-    pool = [
-        single_edge(),
-        undirected_path(2),
-        undirected_path(3),
-        undirected_cycle(3),
-        undirected_cycle(4),
-        undirected_cycle(5),
-    ]
-    for seed in range(6):
-        pool.append(random_structure(GRAPH, 2 + seed % 3, 0.4, seed=seed))
-    return pool
-
-
-def brute_force_has_homomorphism(source: Structure, target: Structure) -> bool:
-    """Oracle: try every mapping universe(source) → universe(target)."""
-    src = list(source.universe)
-    if not src:
-        return is_homomorphism(source, target, {})
-    tgt = list(target.universe)
-    if not tgt:
-        return False
-    for images in itertools.product(tgt, repeat=len(src)):
-        if is_homomorphism(source, target, dict(zip(src, images))):
-            return True
-    return False
-
-
-# ----------------------------------------------------------------------
 # Trials
 # ----------------------------------------------------------------------
 @dataclass
@@ -188,10 +146,8 @@ def _run_operation(rng: random.Random, engine: HomEngine, pool) -> TrialResult:
                 return TrialResult(op, "invalid", "non-Verdict result")
             if verdict.is_unknown:
                 return TrialResult(op, "unknown", verdict.reason)
-            if verdict.is_true and not is_homomorphism(
-                source, target, verdict.witness
-            ):
-                return TrialResult(op, "invalid", "TRUE with bogus witness")
+            if not agrees(Case(source, target), verdict.witness):
+                return TrialResult(op, "invalid", "verdict or witness wrong")
             return TrialResult(op, "ok")
         if op == "core":
             structure = rng.choice(pool)

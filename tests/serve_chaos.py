@@ -21,8 +21,8 @@ Every trial is classified against the serve contract:
 * **no silent loss** — every frame that legitimately expects a response
   gets exactly one (by request id);
 * **no invalid verdict** — every definite (TRUE/FALSE) hom verdict is
-  differentially checked against the brute-force oracle of
-  :mod:`tests.chaos`, and every TRUE witness is re-validated as an
+  differentially checked against the shared oracle of
+  :mod:`tests.oracle`, and every TRUE witness is re-validated as an
   actual homomorphism; UNKNOWN is always acceptable, wrong never is;
 * **no hang** — each trial bounds its socket reads; the campaign and
   its pytest driver add watchdogs on top.
@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine import HomEngine
-from repro.homomorphism import is_homomorphism
 from repro.serve import (
     ServeClient,
     ServerThread,
@@ -54,7 +53,7 @@ from repro.serve.client import decode_witness
 from repro.serve.service import DecisionService
 from repro.structures import Structure
 
-from .chaos import brute_force_has_homomorphism, structure_pool
+from .oracle import Case, expected, respects, structure_pool
 
 #: Per-read socket timeout inside trials; the anti-hang bound at the
 #: client edge (the pytest watchdog guards the whole campaign).
@@ -145,17 +144,6 @@ class FlakyKernelInjector:
 _oracle_cache: Dict[Tuple[int, int], bool] = {}
 
 
-def oracle_has_hom(
-    pool: List[Structure], i: int, j: int
-) -> bool:
-    key = (i, j)
-    if key not in _oracle_cache:
-        _oracle_cache[key] = brute_force_has_homomorphism(
-            pool[i], pool[j]
-        )
-    return _oracle_cache[key]
-
-
 def classify_hom_entry(
     entry: Dict[str, Any],
     pool: List[Structure],
@@ -169,21 +157,17 @@ def classify_hom_entry(
     value = verdict.get("value")
     if value == "UNKNOWN":
         return None  # honest soft answer, always acceptable
-    expected = oracle_has_hom(pool, i, j)
-    if value == "TRUE":
-        if not expected:
-            return f"served TRUE but no hom {i}->{j} exists"
-        witness = verdict.get("witness")
-        if witness is not None:
-            mapping = decode_witness(witness)
-            if not is_homomorphism(pool[i], pool[j], mapping):
-                return f"served TRUE with an invalid witness for {i}->{j}"
-        return None
-    if value == "FALSE":
-        if expected:
-            return f"served FALSE but a hom {i}->{j} exists"
-        return None
-    return f"verdict has invalid value {value!r}"
+    if value not in ("TRUE", "FALSE"):
+        return f"verdict has invalid value {value!r}"
+    case = Case(pool[i], pool[j])
+    if (i, j) not in _oracle_cache:
+        _oracle_cache[i, j] = expected(case).exists
+    if (value == "TRUE") != _oracle_cache[i, j]:
+        return f"served {value} for {i}->{j}, the oracle disagrees"
+    witness = verdict.get("witness")
+    if witness is not None and not respects(case, decode_witness(witness)):
+        return f"served TRUE with an invalid witness for {i}->{j}"
+    return None
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ trials and asserts the governor's core robustness contract:
 * every fault kind (deadline, budget, cancel, evict) actually fired
   during the campaign — the harness is exercising all its seams;
 * after the injection storm, the shared engine's memo cache still
-  agrees with the brute-force oracle on every pool pair — a fault that
+  agrees with :mod:`tests.oracle` on every pool pair — a fault that
   interrupts a solve must never leave a corrupted cached answer behind.
 
 A ``signal.alarm``-based watchdog caps the whole campaign: a hang is a
@@ -29,11 +29,10 @@ from repro.resources import governed
 from .chaos import (
     FAULT_KINDS,
     FaultInjector,
-    brute_force_has_homomorphism,
     run_campaign,
     run_trial,
-    structure_pool,
 )
+from .oracle import Case, expected, respects, structure_pool
 
 #: Seed for the campaign; CI pins it via the environment for
 #: reproducible runs (see .github/workflows/ci.yml).
@@ -112,7 +111,7 @@ class TestCacheIntegrityAfterInjection:
 
         Storm phase: hammer one engine with injected trips across the
         pool.  Verification phase: every pool pair, queried through the
-        (warm, storm-survivor) cache, must agree with brute force.
+        (warm, storm-survivor) cache, must agree with the oracle.
         """
         engine = HomEngine()
         pool = structure_pool()
@@ -122,17 +121,14 @@ class TestCacheIntegrityAfterInjection:
         for source in pool:
             for target in pool:
                 got = engine.exists_homomorphism(source, target)
-                expected = brute_force_has_homomorphism(source, target)
-                if got != expected:
-                    mismatches.append((source, target, got, expected))
+                if got != expected(Case(source, target)).exists:
+                    mismatches.append((source, target, got))
         assert not mismatches, (
             f"cache corrupted by injection: {len(mismatches)} disagreements "
-            f"with the brute-force oracle; first: {mismatches[0]}"
+            f"with the oracle; first: {mismatches[0]}"
         )
 
     def test_eviction_mid_campaign_keeps_witnesses_valid(self):
-        from repro.homomorphism import is_homomorphism
-
         engine = HomEngine()
         pool = structure_pool()
         injector = FaultInjector(
@@ -144,9 +140,8 @@ class TestCacheIntegrityAfterInjection:
                 for target in pool:
                     verdict = engine.decide_homomorphism(source, target)
                     if verdict.is_true:
-                        assert is_homomorphism(
-                            source, target, verdict.witness
-                        )
+                        case = Case(source, target)
+                        assert respects(case, verdict.witness)
                         checked += 1
         assert checked > 0
         assert injector.fired["evict"] > 0

@@ -73,10 +73,6 @@ class TestDelta:
         assert inv.add_facts == (("E", (1, 2)),)
         assert inv.inverse() == d
 
-    def test_touched_elements(self):
-        d = Delta(add_elements=(9,), add_facts=[("E", (0, 1))])
-        assert d.touched_elements() == frozenset({9, 0, 1})
-
     def test_direction_predicates(self):
         assert Delta(add_facts=[("E", (0, 1))]).hardens()
         assert not Delta(add_facts=[("E", (0, 1))]).loosens()

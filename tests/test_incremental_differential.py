@@ -1,18 +1,15 @@
-"""The incremental-differential tier: edit streams vs from-scratch.
+"""The incremental-differential tier: edit streams vs the shared oracle.
 
-Acceptance gate for the incremental engine — over 500 re-decisions
-across randomized edit streams, every verdict produced by the warm
-sessions / DRed fixpoints must agree with a from-scratch oracle on the
-current (edited) structures.  The tier includes chaos ``evict``
-interleavings (both engine caches cleared mid-stream) and governed
-streams under fault injection where UNKNOWN is allowed but definite
-verdicts must still match the oracle.  Zero disagreements, by
-assertion, on every stream.
+Over 500 re-decisions across seeded edit streams, every warm-session
+verdict and witness must agree with :mod:`tests.oracle` on the current
+(edited) structures: brute force while the pair is small, the reference
+solver once a stream outgrows the cap.  DRed fixpoints must match a
+semi-naive evaluation tuple for tuple.  Streams interleave chaos
+``evict`` faults, and governed streams inject faults where UNKNOWN is
+allowed but definite verdicts must still match.
 """
 
 import random
-
-import pytest
 
 from repro.datalog.evaluation import evaluate_semi_naive
 from repro.datalog.program import parse_program
@@ -24,11 +21,10 @@ from repro.incremental import (
     IncrementalHomSession,
 )
 from repro.resources import governed
-from repro.structures import Structure, Vocabulary, random_structure
+from repro.structures import random_structure
 
-from .chaos import FaultInjector, structure_pool
-
-GRAPH = Vocabulary({"E": 2})
+from .chaos import FaultInjector
+from .oracle import GRAPH, Case, agrees, core_size, structure_pool
 
 HOM_STREAMS = 30
 HOM_STEPS = 12
@@ -47,19 +43,6 @@ assert (
     + DATALOG_STREAMS * DATALOG_STEPS
     >= 500
 )
-
-
-def rebuilt(structure):
-    """A fresh instance equal to ``structure`` (no cached WL state)."""
-    return Structure(
-        structure.vocabulary,
-        structure.universe,
-        {
-            name: structure.relation(name)
-            for name in structure.vocabulary.relation_names
-        },
-        structure.constants,
-    )
 
 
 def random_delta(rng, structure):
@@ -98,88 +81,59 @@ def random_delta(rng, structure):
     return Delta()
 
 
-def oracle_verdict(source, target):
-    """From-scratch governed decision on rebuilt structures: no shared
-    caches, no retained WL history, no warm state."""
-    return HomEngine(cache_enabled=False).decide_homomorphism(
-        rebuilt(source), rebuilt(target)
-    )
-
-
 # ----------------------------------------------------------------------
-# Homomorphism streams with evict interleavings
+# Homomorphism streams
 # ----------------------------------------------------------------------
-def test_hom_streams_agree_with_oracle():
+def _hom_stream(seed, steps, injector_seed=None):
+    """Yield ``(verdict, case)`` after each edit of one seeded session.
+    With ``injector_seed`` every decision runs under a fault injector;
+    without, caches are evicted between steps at random."""
+    rng = random.Random(seed)
+    engine = HomEngine()
+    injector = (None if injector_seed is None else
+                FaultInjector(seed=injector_seed, rate=0.3, engine=engine))
     pool = structure_pool()
-    disagreements = []
-    for stream in range(HOM_STREAMS):
-        rng = random.Random(1000 + stream)
-        engine = HomEngine()
-        source = pool[rng.randrange(len(pool))]
-        target = pool[rng.randrange(len(pool))]
-        session = IncrementalHomSession(source, target, engine=engine)
+    source = pool[rng.randrange(len(pool))]
+    target = pool[rng.randrange(len(pool))]
+    session = IncrementalHomSession(source, target, engine=engine)
+    with governed(deadline=10.0, injector=injector):
         session.decide()
-        for step in range(HOM_STEPS):
-            if rng.random() < 0.5:
-                delta = random_delta(rng, session.source)
-                verdict = session.edit_source(delta)
-            else:
-                delta = random_delta(rng, session.target)
-                verdict = session.edit_target(delta)
-            want = oracle_verdict(session.source, session.target)
-            if verdict.is_true != want.is_true or (
-                verdict.is_false != want.is_false
-            ):
-                disagreements.append((stream, step, verdict, want))
-            if verdict.is_true:
-                from repro.homomorphism.search import is_homomorphism
-
-                assert is_homomorphism(
-                    session.source, session.target, verdict.witness
-                ), (stream, step)
-            # Chaos interleaving: cold caches must not change verdicts.
-            if rng.random() < 0.25:
-                engine.cache.clear()
-                engine.compiled_targets.clear()
-    assert disagreements == []
-
-
-# ----------------------------------------------------------------------
-# Governed streams under fault injection (UNKNOWN allowed)
-# ----------------------------------------------------------------------
-def test_governed_streams_definite_verdicts_agree():
-    pool = structure_pool()
-    unknowns = 0
-    disagreements = []
-    for stream in range(GOVERNED_STREAMS):
-        rng = random.Random(2000 + stream)
-        engine = HomEngine()
-        injector = FaultInjector(seed=stream, rate=0.3, engine=engine)
-        source = pool[rng.randrange(len(pool))]
-        target = pool[rng.randrange(len(pool))]
-        session = IncrementalHomSession(source, target, engine=engine)
+    for _ in range(steps):
+        side = "source" if rng.random() < 0.5 else "target"
+        delta = random_delta(rng, getattr(session, side))
         with governed(deadline=10.0, injector=injector):
-            session.decide()
-        for step in range(GOVERNED_STEPS):
-            if rng.random() < 0.5:
-                delta = random_delta(rng, session.source)
-                editor, side = session.edit_source, "source"
-            else:
-                delta = random_delta(rng, session.target)
-                editor, side = session.edit_target, "target"
-            with governed(deadline=10.0, injector=injector):
-                verdict = editor(delta)
-            if verdict.is_unknown:
-                unknowns += 1
-                # A trip poisons nothing: clear the stale UNKNOWN by
-                # re-deciding outside injection before the next step.
-                session.last_verdict = None
-                continue
-            want = oracle_verdict(session.source, session.target)
-            if verdict.is_true != want.is_true:
-                disagreements.append((stream, step, side, verdict, want))
+            verdict = getattr(session, "edit_" + side)(delta)
+        yield verdict, Case(session.source, session.target)
+        if verdict.is_unknown:
+            # A trip poisons nothing: drop the stale UNKNOWN so the
+            # next edit re-decides in full.
+            session.last_verdict = None
+        elif injector is None and rng.random() < 0.25:
+            engine.cache.clear()  # the chaos evict, between steps
+            engine.compiled_targets.clear()
+
+
+def test_hom_streams_agree_with_oracle():
+    disagreements = [
+        (stream, verdict)
+        for stream in range(HOM_STREAMS)
+        for verdict, case in _hom_stream(1000 + stream, HOM_STEPS)
+        if verdict.is_unknown or not agrees(case, verdict.witness)
+    ]
     assert disagreements == []
-    assert unknowns >= 1  # the tier genuinely exercised UNKNOWN paths
+
+
+def test_governed_streams_definite_verdicts_agree():
+    """Under fault injection UNKNOWN is allowed, a wrong verdict not."""
+    verdicts = [
+        (verdict, case)
+        for stream in range(GOVERNED_STREAMS)
+        for verdict, case in _hom_stream(2000 + stream, GOVERNED_STEPS,
+                                         injector_seed=stream)
+    ]
+    assert not [v for v, case in verdicts
+                if not v.is_unknown and not agrees(case, v.witness)]
+    assert any(v.is_unknown for v, _ in verdicts)  # trips did happen
 
 
 # ----------------------------------------------------------------------
@@ -196,11 +150,8 @@ def test_core_streams_agree_with_oracle():
         for step in range(CORE_STEPS):
             delta = random_delta(rng, session.structure)
             core = session.edit(delta)
-            oracle = HomEngine(cache_enabled=False).core(
-                rebuilt(session.structure)
-            )
-            if core.size() != oracle.size():
-                disagreements.append((stream, step, core, oracle))
+            if core.size() != core_size(session.structure):
+                disagreements.append((stream, step, core))
             assert core.is_substructure_of(session.structure), (stream, step)
             if rng.random() < 0.25:
                 engine.cache.clear()
@@ -225,5 +176,5 @@ def test_datalog_streams_are_tuple_exact():
         for step in range(DATALOG_STEPS):
             delta = random_delta(rng, fix.structure)
             fix.apply(delta)
-            want = evaluate_semi_naive(TC, rebuilt(fix.structure)).relations
+            want = evaluate_semi_naive(TC, fix.structure).relations
             assert fix.relation("T") == set(want["T"]), (stream, step)

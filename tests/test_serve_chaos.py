@@ -7,7 +7,7 @@ Asserts the serve robustness contract over hundreds of seeded trials:
 * **zero silent losses** — every frame that expects a response is
   answered exactly once;
 * **no invalid verdict escapes** — definite answers are differentially
-  checked against the brute-force oracle, TRUE witnesses re-validated;
+  checked against the shared oracle, TRUE witnesses re-validated;
 * the hostile scenarios (slow clients, disconnects, malformed frames,
   bursts) all actually ran, and the seeded flaky kernel genuinely
   exercised the circuit breaker;

@@ -3,7 +3,8 @@
 Twin pruning only cuts subtrees that hold no solution, so on targets
 full of twins — cliques, complete bipartite graphs and disjoint unions
 of cliques — every enumeration, count and core must still equal brute
-force, under every combination of the solver options that interact with
+force (the shared oracle of :mod:`tests.oracle`, on every answer
+path), under every combination of the solver options that interact with
 the pruning rule (injectivity, pins, forbidden images, source
 constants, propagation on or off), on graph, digraph and ternary
 sources.
@@ -15,7 +16,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.engine import HomEngine
 from repro.graphtheory.generators import complete_bipartite_graph
-from repro.homomorphism import is_homomorphism
 from repro.homomorphism.cores import core_by_retractions
 from repro.homomorphism.search import (
     HomomorphismSearch,
@@ -30,6 +30,8 @@ from repro.structures import (
     disjoint_union,
     graph_as_structure,
 )
+
+from .oracle import Case, brute_force, check, core_size
 
 SETTINGS = settings(
     max_examples=150,
@@ -113,33 +115,11 @@ def instances(draw):
     return source, target, options
 
 
-def _brute_force(source, target, injective=False, pinned=None,
-                 forbidden_images=frozenset(), propagate=True):
-    """Every homomorphism meeting the options, by exhaustive listing."""
-    out = []
-    for images in itertools.product(target.universe,
-                                    repeat=len(source.universe)):
-        mapping = dict(zip(source.universe, images))
-        if injective and len(set(images)) < len(images):
-            continue
-        if pinned and any(mapping[k] != v for k, v in pinned.items()):
-            continue
-        if set(images) & set(forbidden_images):
-            continue
-        if is_homomorphism(source, target, mapping):
-            out.append(mapping)
-    return out
-
-
-def _key(mapping):
-    return tuple(sorted(mapping.items(), key=repr))
-
-
 @SETTINGS
 @given(instances())
 def test_enumeration_matches_brute_force(instance):
     source, target, options = instance
-    expected = sorted(map(_key, _brute_force(source, target, **options)))
+    check(Case(source, target, options))
     reference = list(
         HomomorphismSearch(source, target, **options).solutions()
     )
@@ -147,31 +127,16 @@ def test_enumeration_matches_brute_force(instance):
         source, CompiledTarget(target), **options
     ).solutions())
     assert reference == kernel
-    assert sorted(map(_key, kernel)) == expected
 
 
 @SETTINGS
 @given(instances())
 def test_count_and_iter_match_brute_force(instance):
     source, target, _ = instance
-    expected = sorted(map(_key, _brute_force(source, target)))
-    assert sorted(map(_key, iter_homomorphisms(source, target))) == expected
+    expected = brute_force(source, target)
+    listed = {frozenset(h.items()) for h in iter_homomorphisms(source, target)}
+    assert listed == expected
     assert count_homomorphisms(source, target) == len(expected)
-
-
-def _brute_force_core_size(structure):
-    """The fewest elements an endomorphism's image can have."""
-    universe = structure.universe
-    facts = list(structure.facts())
-    best = len(universe)
-    for images in itertools.product(universe, repeat=len(universe)):
-        if len(set(images)) >= best:
-            continue
-        mapping = dict(zip(universe, images))
-        if all(tuple(mapping[x] for x in tup) in structure.relation(name)
-               for name, tup in facts):
-            best = len(set(images))
-    return best
 
 
 @st.composite
@@ -198,7 +163,7 @@ def core_inputs(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(core_inputs())
 def test_core_sizes_match_brute_force(structure):
-    expected = _brute_force_core_size(structure)
+    expected = core_size(structure, limit=6 ** 6)  # brute force
     for use_kernel in (True, False):
         engine = HomEngine(cache_enabled=False, use_kernel=use_kernel)
         core = core_by_retractions(structure, engine=engine)
