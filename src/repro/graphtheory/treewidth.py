@@ -12,6 +12,7 @@ sentences.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -60,39 +61,81 @@ def _fill_in(adj: Dict[Vertex, Set[Vertex]], v: Vertex) -> int:
     return missing
 
 
+def _greedy_order(graph: Graph, by_fill: bool) -> Tuple[List[Vertex], int]:
+    """A greedy elimination order and its width.
+
+    Each step eliminates the vertex with the least ``(fill-in, degree,
+    str)`` key (``by_fill``) or ``(degree, str)`` key, the first in
+    vertex order on a full tie.  Keys live in a heap with lazy deletion
+    and are recomputed only where an elimination can change them: the
+    degree of the eliminated vertex's neighbours, and the fill-in of
+    every vertex within distance 2 of it (a new edge between two of its
+    neighbours changes the fill-in of their common neighbours).  The
+    width is the largest neighbourhood eliminated, ``-1`` for no
+    vertices, as :func:`decomposition_from_elimination_order` reports.
+    """
+    adj = _copy_adj(graph)
+    rank = {v: (str(v), i) for i, v in enumerate(adj)}
+
+    def key(u: Vertex) -> tuple:
+        fill = _fill_in(adj, u) if by_fill else 0
+        return (fill, len(adj[u])) + rank[u] + (u,)
+
+    current = {u: key(u) for u in adj}
+    heap = list(current.values())
+    heapq.heapify(heap)
+    order: List[Vertex] = []
+    width = -1
+    while heap:
+        entry = heapq.heappop(heap)
+        v = entry[-1]
+        if current.get(v) is not entry:
+            continue
+        del current[v]
+        neighbors = adj[v]
+        order.append(v)
+        width = max(width, len(neighbors))
+        _eliminate(adj, v)
+        dirty = set(neighbors)
+        if by_fill:
+            for u in neighbors:
+                dirty |= adj[u]
+        for u in dirty:
+            new = key(u)
+            if new != current[u]:
+                current[u] = new
+                heapq.heappush(heap, new)
+    return order, width
+
+
 def min_degree_order(graph: Graph) -> List[Vertex]:
     """The min-degree elimination order (classic upper-bound heuristic)."""
-    adj = _copy_adj(graph)
-    order: List[Vertex] = []
-    while adj:
-        v = min(adj, key=lambda u: (len(adj[u]), str(u)))
-        order.append(v)
-        _eliminate(adj, v)
-    return order
+    return _greedy_order(graph, by_fill=False)[0]
 
 
 def min_fill_order(graph: Graph) -> List[Vertex]:
     """The min-fill elimination order (usually tighter than min-degree)."""
-    adj = _copy_adj(graph)
-    order: List[Vertex] = []
-    while adj:
-        v = min(adj, key=lambda u: (_fill_in(adj, u), len(adj[u]), str(u)))
-        order.append(v)
-        _eliminate(adj, v)
-    return order
+    return _greedy_order(graph, by_fill=True)[0]
+
+
+def _upper_bound_order(graph: Graph) -> Tuple[int, List[Vertex]]:
+    """The narrower of the min-fill / min-degree orders (min-fill on a
+    tie) with its width."""
+    fill_order, fill_width = _greedy_order(graph, by_fill=True)
+    degree_order, degree_width = _greedy_order(graph, by_fill=False)
+    if degree_width < fill_width:
+        return degree_width, degree_order
+    return fill_width, fill_order
 
 
 def treewidth_upper_bound(graph: Graph) -> Tuple[int, TreeDecomposition]:
-    """Best of the min-degree / min-fill heuristics, with its decomposition."""
-    best: Optional[Tuple[int, TreeDecomposition]] = None
-    for order_fn in (min_fill_order, min_degree_order):
-        order = order_fn(graph)
-        decomp = decomposition_from_elimination_order(graph, order)
-        width = decomp.width()
-        if best is None or width < best[0]:
-            best = (width, decomp)
-    assert best is not None
-    return best
+    """Best of the min-degree / min-fill heuristics, with its decomposition.
+
+    The two orders are compared by width; only the winner is turned
+    into a decomposition.
+    """
+    width, order = _upper_bound_order(graph)
+    return width, decomposition_from_elimination_order(graph, order)
 
 
 def treewidth_lower_bound(graph: Graph) -> int:
@@ -100,14 +143,24 @@ def treewidth_lower_bound(graph: Graph) -> int:
 
     The "maximum minimum degree" bound: repeatedly delete a minimum-degree
     vertex; the largest minimum degree seen is at most the treewidth.
+    Degrees live in a heap with lazy deletion; which of several
+    minimum-degree vertices goes first does not change the bound (it is
+    the graph's degeneracy).
     """
     adj = _copy_adj(graph)
+    heap = [(len(nb), i, v) for i, (v, nb) in enumerate(adj.items())]
+    index = {v: i for _, i, v in heap}
+    heapq.heapify(heap)
     best = 0
-    while adj:
-        v = min(adj, key=lambda u: len(adj[u]))
-        best = max(best, len(adj[v]))
-        for u in adj[v]:
+    while heap:
+        degree, _, v = heapq.heappop(heap)
+        neighbors = adj.get(v)
+        if neighbors is None or len(neighbors) != degree:
+            continue
+        best = max(best, degree)
+        for u in neighbors:
             adj[u].discard(v)
+            heapq.heappush(heap, (len(adj[u]), index[u], u))
         del adj[v]
     return best
 
@@ -117,7 +170,7 @@ def _component_treewidth_exact(graph: Graph, limit: int) -> int:
     n = graph.num_vertices()
     if n <= 1:
         return 0
-    upper, _ = treewidth_upper_bound(graph)
+    upper, _ = _upper_bound_order(graph)
     lower = treewidth_lower_bound(graph)
     if lower == upper:
         return upper
@@ -289,7 +342,7 @@ def treewidth_with_fallback(
         return TreewidthResult(width, True, "branch-and-bound")
     except (BudgetExceededError, DeadlineExceededError) as err:
         GOVERNOR.fallbacks += 1
-        upper, _ = treewidth_upper_bound(graph)
+        upper, _ = _upper_bound_order(graph)
         return TreewidthResult(
             upper,
             False,

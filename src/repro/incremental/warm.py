@@ -126,9 +126,14 @@ class IncrementalHomSession:
             if witness is not None and is_homomorphism(
                 self.source, self.target, witness
             ):
+                # Restricted to the edited universe: a removed source
+                # element keeps no image.
+                universe = self.source.universe_set
                 return Verdict.true(
                     reason="warm start: previous witness survives the edit",
-                    witness=dict(witness),
+                    witness={
+                        x: y for x, y in witness.items() if x in universe
+                    },
                     consumed=current_context().consumption(),
                 )
             return None

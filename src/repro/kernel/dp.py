@@ -11,7 +11,7 @@ homomorphisms restricted to each bag.
 
 Selection is conservative and fully automatic (see :func:`plan_dp`):
 the DP only runs when the source is large enough for backtracking to
-plausibly struggle, the (reported) width is small, and the worst-case
+plausibly struggle, the decomposition width is small, and the worst-case
 table bound ``Σ |target|^|bag|`` is affordable.  Anything else — large
 width, UNKNOWN width because the treewidth pass tripped a governor
 limit, injective queries, tiny sources — falls back to the
@@ -24,7 +24,7 @@ like they interrupt the search tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..exceptions import ResourceError, ValidationError
 from ..graphtheory.nice_decomposition import NiceDecomposition, make_nice
@@ -32,13 +32,12 @@ from ..graphtheory.treewidth import (
     treewidth_decomposition,
     treewidth_lower_bound,
     treewidth_upper_bound,
-    treewidth_with_fallback,
 )
 from ..resources.governor import RunContext, current_context
 from ..structures.gaifman import gaifman_graph
-from ..structures.structure import Element, Structure
+from ..structures.structure import Structure
 from .compile import CompiledTarget
-from .solver import BitsetHomomorphismSolver, Homomorphism
+from .solver import BitsetHomomorphismSolver, Homomorphism, project
 
 #: Sources with fewer variables than this stay on backtracking (the DP's
 #: per-bag bookkeeping only pays off once the search tree can get deep).
@@ -57,6 +56,13 @@ DP_COST_CAP = 100_000
 DP_EXACT_LIMIT = 16
 
 
+#: One fact checked at an introduce node: its all-tuples mask, ``(child
+#: entry position, support dict)`` per already-fixed variable, and the
+#: introduced variable's support dict and projection memo.
+_Check = Tuple[int, Tuple[Tuple[int, Dict[int, int]], ...],
+               Dict[int, int], Dict[int, int]]
+
+
 @dataclass(frozen=True)
 class DPPlan:
     """An accepted DP execution plan for one source structure.
@@ -65,15 +71,12 @@ class DPPlan:
     ----------
     nice:
         The nice decomposition (of the source's Gaifman graph) the DP
-        will run over — built from the *heuristic* elimination order,
-        whose width bounds the table sizes.
+        will run over: from the narrower of the min-fill / min-degree
+        elimination orders, or, when both overshoot
+        :data:`DP_MAX_WIDTH` on a source of at most
+        :data:`DP_EXACT_LIMIT` elements, from an exact one.
     width:
         The width of ``nice`` (what the DP actually pays for).
-    reported_width:
-        What the treewidth pass reported (exact when ``exact``); used
-        only for gating.
-    exact:
-        Whether ``reported_width`` is the exact treewidth.
     cost:
         The worst-case table bound ``Σ |target|^|bag|`` over
         introduce/join nodes.
@@ -81,8 +84,6 @@ class DPPlan:
 
     nice: NiceDecomposition
     width: int
-    reported_width: int
-    exact: bool
     cost: int
 
 
@@ -96,12 +97,19 @@ def plan_dp(
     """Decide whether (and how) to DP-solve ``source``; ``None`` = don't.
 
     Rejections, in order: injective queries (the bag-local tables can't
-    see global image-disjointness), sources below ``min_vars``, reported
-    treewidth above :data:`DP_MAX_WIDTH` (or UNKNOWN because the
-    planning pass itself tripped a governor limit), heuristic
-    decomposition width above :data:`DP_MAX_WIDTH`, and plans whose
-    table bound exceeds :data:`DP_COST_CAP`.  Every rejection means "use the backtracking kernel",
-    never "fail".
+    see global image-disjointness), sources below ``min_vars``, a
+    minimum-degree lower bound above :data:`DP_MAX_WIDTH`, heuristic
+    width above it on a source of more than :data:`DP_EXACT_LIMIT`
+    elements, exact width above it (or UNKNOWN because that exact pass
+    tripped a governor limit) on a smaller one, and plans whose table
+    bound exceeds :data:`DP_COST_CAP`.  Every rejection means "use the
+    backtracking kernel", never "fail".
+
+    The gate is polynomial except for that exact fallback: the lower
+    bound and the two greedy orders (fill-in recomputed only near each
+    eliminated vertex) cost about one pass over the Gaifman graph per
+    eliminated vertex, and only the narrower order becomes a
+    decomposition.
     """
     if injective:
         return None
@@ -114,27 +122,15 @@ def plan_dp(
         # before any exponential planning work happens.
         if treewidth_lower_bound(graph) > DP_MAX_WIDTH:
             return None
-        heuristic_width, decomp = treewidth_upper_bound(graph)
-        if heuristic_width <= DP_MAX_WIDTH:
-            # The heuristic decomposition is already good enough to run
-            # on.  The exact pass (affordable here: the B&B prunes with
-            # the small upper bound) only refines the reported width.
-            if nvars <= DP_EXACT_LIMIT:
-                reported = treewidth_with_fallback(
-                    graph, limit=DP_EXACT_LIMIT
-                )
-                reported_width, exact = reported.width, reported.exact
-            else:
-                reported_width, exact = heuristic_width, False
-        elif nvars <= DP_EXACT_LIMIT:
+        width, decomp = treewidth_upper_bound(graph)
+        if width > DP_MAX_WIDTH:
             # The heuristic overshot; an exact decomposition may still
             # come in under the width gate on a small source.
-            decomp = treewidth_decomposition(graph, limit=DP_EXACT_LIMIT)
-            reported_width, exact = decomp.width(), True
-            if reported_width > DP_MAX_WIDTH:
+            if nvars > DP_EXACT_LIMIT:
                 return None
-        else:
-            return None
+            decomp = treewidth_decomposition(graph, limit=DP_EXACT_LIMIT)
+            if decomp.width() > DP_MAX_WIDTH:
+                return None
         nice = make_nice(decomp, graph)
     except ResourceError:
         # Width is UNKNOWN (the planning pass was interrupted): fall
@@ -147,13 +143,7 @@ def plan_dp(
     )
     if cost > DP_COST_CAP:
         return None
-    return DPPlan(
-        nice=nice,
-        width=nice.width(),
-        reported_width=reported_width,
-        exact=exact,
-        cost=cost,
-    )
+    return DPPlan(nice=nice, width=nice.width(), cost=cost)
 
 
 class TreewidthDPSolver:
@@ -170,6 +160,14 @@ class TreewidthDPSolver:
     fact's variables form a clique of the Gaifman graph); forget nodes
     project; join nodes intersect.  The empty root bag means the source
     maps into the target iff the root table contains ``()``.
+
+    An introduce step is a mask projection, not a per-value test: for
+    each child entry, every checked fact ANDs the supports of its
+    already-fixed variables into a surviving-tuple mask, and the new
+    variable's allowed values are that mask's projection through its
+    group — the same memoized ``projs`` table the kernel's propagation
+    fills.  The entry is extended only by the values every checked fact
+    allows.
 
     Accepts ``pinned`` / ``forbidden_images`` / ``propagate`` with the
     same semantics as the backtracking kernel (they act through the
@@ -224,30 +222,40 @@ class TreewidthDPSolver:
                     f"{err.args[0]!r}"
                 ) from None
         bag_sets: List[Set[int]] = [set(order) for order in self.orders]
+        introduced_at: Dict[int, List[int]] = {}
+        for i, node in enumerate(nice.nodes):
+            if node.kind == "introduce":
+                introduced_at.setdefault(
+                    base.var_of[node.vertex], []
+                ).append(i)
 
-        fact_vars: List[Tuple[int, ...]] = []
-        for name, tup in source.facts():
-            fact_vars.append(
-                tuple({base.var_of[x] for x in tup})
-            )
-        self.checks: List[List[int]] = [[] for _ in nice.nodes]
-        for f, fvars in enumerate(fact_vars):
-            if not fvars:
+        # Each fact is placed only at the introduce nodes of its own
+        # variables whose bag covers it.
+        self.checks: List[List[_Check]] = [[] for _ in nice.nodes]
+        for f, (all_mask, groups) in enumerate(base.facts):
+            if not groups:
                 # Nullary fact: no bag will ever check it.  An empty
                 # relation makes the instance unsatisfiable; a nonempty
                 # one is vacuously satisfied.
-                if base.facts[f][0] == 0:
+                if all_mask == 0:
                     self.unsatisfiable = True
                 continue
-            fset = set(fvars)
+            fset = {group[0] for group in groups}
             placed = False
-            for i, node in enumerate(nice.nodes):
-                if (
-                    node.kind == "introduce"
-                    and base.var_of[node.vertex] in fset
-                    and fset <= bag_sets[i]
-                ):
-                    self.checks[i].append(f)
+            for var in fset:
+                for i in introduced_at.get(var, ()):
+                    if not fset <= bag_sets[i]:
+                        continue
+                    child_order = self.orders[nice.nodes[i].children[0]]
+                    fixed = []
+                    for fvar, gsup, _, projs in groups:
+                        if fvar == var:
+                            new_sup, new_projs = gsup, projs
+                        else:
+                            fixed.append((child_order.index(fvar), gsup))
+                    self.checks[i].append(
+                        (all_mask, tuple(fixed), new_sup, new_projs)
+                    )
                     placed = True
             if not placed:
                 raise ValidationError(
@@ -327,35 +335,34 @@ class TreewidthDPSolver:
         domains: List[int],
         tables: List[Set[Tuple[int, ...]]],
     ) -> Set[Tuple[int, ...]]:
-        base = self.base
         context = self.context
-        var = base.var_of[node.vertex]
-        order = self.orders[index]
-        pos = order.index(var)
-        child_order = self.orders[node.children[0]]
-        checks = [base.facts[f] for f in self.checks[index]]
-        table: Set[Tuple[int, ...]] = set()
+        var = self.base.var_of[node.vertex]
+        pos = self.orders[index].index(var)
+        checks = self.checks[index]
         domain = domains[var]
+        table: Set[Tuple[int, ...]] = set()
         for entry in tables[node.children[0]]:
             context.checkpoint("hom.dp")
-            partial = dict(zip(child_order, entry))
-            d = domain
-            while d:
-                low = d & -d
-                d ^= low
-                value = low.bit_length() - 1
-                partial[var] = value
-                ok = True
-                for surviving, groups in checks:
-                    for fvar, gsup, _, _ in groups:
-                        surviving &= gsup.get(partial[fvar], 0)
-                        if not surviving:
-                            ok = False
-                            break
-                    if not ok:
+            allowed = domain
+            for surviving, fixed, gsup, projs in checks:
+                for p, fsup in fixed:
+                    surviving &= fsup.get(entry[p], 0)
+                    if not surviving:
                         break
-                if ok:
-                    table.add(entry[:pos] + (value,) + entry[pos:])
+                if not surviving:
+                    allowed = 0
+                    break
+                keep = projs.get(surviving)
+                if keep is None:
+                    keep = project(gsup, projs, surviving)
+                allowed &= keep
+                if not allowed:
+                    break
+            head, tail = entry[:pos], entry[pos:]
+            while allowed:
+                low = allowed & -allowed
+                allowed ^= low
+                table.add(head + (low.bit_length() - 1,) + tail)
         return table
 
     # ------------------------------------------------------------------

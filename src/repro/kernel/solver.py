@@ -58,6 +58,21 @@ _Occurrence = Tuple[int, Dict[int, int], Dict[int, int], Dict[int, int]]
 _CompiledFact = Tuple[int, Tuple[_Occurrence, ...]]
 
 
+def project(gsup: Dict[int, int], projs: Dict[int, int],
+            surviving: int) -> int:
+    """The values whose support meets tuple mask ``surviving``, computed
+    on a ``projs`` miss and memoized there (cleared at
+    :data:`MEMO_LIMIT` entries)."""
+    keep = 0
+    for value, supp in gsup.items():
+        if supp & surviving:
+            keep |= 1 << value
+    if len(projs) >= MEMO_LIMIT:
+        projs.clear()
+    projs[surviving] = keep
+    return keep
+
+
 class PropagationScratch:
     """Reusable propagation work buffers (worklist deque + membership set).
 
@@ -234,13 +249,7 @@ class BitsetHomomorphismSolver:
             for var, gsup, _, projs in groups:
                 keep = projs.get(surviving)
                 if keep is None:
-                    keep = 0
-                    for value, supp in gsup.items():
-                        if supp & surviving:
-                            keep |= 1 << value
-                    if len(projs) >= MEMO_LIMIT:
-                        projs.clear()
-                    projs[surviving] = keep
+                    keep = project(gsup, projs, surviving)
                 old = domains[var]
                 new = old & keep
                 if new != old:

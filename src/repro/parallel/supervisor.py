@@ -476,6 +476,13 @@ class SweepSupervisor:
             self._fruitless_breaks + 1
         )
 
+        # A broken pool's survivors can deliver nothing, and the
+        # executor's broken-pool path SIGTERMs them and then joins them
+        # without a timeout.  A worker that outlives SIGTERM (the CLI
+        # routes SIGTERM to KeyboardInterrupt, and forked workers
+        # inherit that) while blocked in a task or on the result
+        # queue's lock would hold the join, and the sweep, forever.
+        self._hard_kill_pool()
         self._teardown_pool()
         if self._fruitless_breaks > self.pool_rebuild_limit:
             log.warning(

@@ -201,7 +201,16 @@ class ReproServer:
             return
         self._draining = True
         SERVE.drains += 1
+        loop = asyncio.get_event_loop()
         if self._server is not None:
+            # Stop accepting first, then yield once so a connection the
+            # loop already accepted attaches its transport: asyncio
+            # drops a transport created after close() without closing
+            # its socket, so that client would be neither answered nor
+            # closed.  Its frames are answered ``server draining``.
+            for sock in self._server.sockets:
+                loop.remove_reader(sock.fileno())
+            await asyncio.sleep(0)
             self._server.close()
             await self._server.wait_closed()
         for ticket in self.admission.drain_queue():
@@ -227,7 +236,6 @@ class ReproServer:
         # clients already pipelined (each is answered ``overloaded:
         # server draining``) and to flush responses — closing with
         # unread input would RST the socket and destroy them.
-        loop = asyncio.get_event_loop()
         grace_end = loop.time() + min(self.drain_grace_s, 1.0)
         while self._connections and loop.time() < grace_end:
             await asyncio.sleep(0.02)

@@ -276,10 +276,11 @@ def agrees(case: Case, witness) -> bool:
 
 
 def respects(case: Case, witness) -> bool:
-    """Whether ``witness`` is a total homomorphism honouring the case's
-    options (keys outside the source universe are ignored, as the
-    library's ``is_homomorphism`` documents)."""
-    if not set(witness) >= set(case.source.universe):
+    """Whether ``witness`` is a homomorphism defined on exactly the
+    source universe and honouring the case's options (no answer path
+    may return keys outside the universe, though the library's
+    ``is_homomorphism`` ignores them)."""
+    if set(witness) != set(case.source.universe):
         return False
     images = [witness[e] for e in case.source.universe]
     options = case.options

@@ -9,6 +9,8 @@ the workers).
 """
 
 import logging
+import os
+import signal
 import time
 
 import pytest
@@ -21,7 +23,7 @@ from repro.parallel import (
     run_sweep,
     serial_map,
 )
-from repro.parallel.faults import faulty_task
+from repro.parallel.faults import _claim_sentinel, faulty_task
 from repro.parallel.retry import INFRA_FAULTS, InstanceAttempts
 from repro.parallel.supervisor import SweepSupervisor
 from repro.parallel.sweeps import (
@@ -52,6 +54,25 @@ def _flaky_task(spec):
     if spec == "boom":
         raise ValueError("intentional test failure")
     return spec
+
+
+def _stubborn_or_fault(spec):
+    """``("stubborn", sentinel, seconds)``: the first attempt creates
+    ``sentinel``, ignores SIGTERM and sleeps; later attempts return.
+    ``("crash-after", sentinel)``: wait for ``sentinel``, then die.
+    Anything else is a :func:`faulty_task` spec."""
+    if spec[0] == "stubborn":
+        _, sentinel, seconds = spec
+        if _claim_sentinel(sentinel):
+            signal.signal(signal.SIGTERM, signal.SIG_IGN)
+            time.sleep(seconds)
+        return {"value": "stubborn"}
+    if spec[0] == "crash-after":
+        deadline = time.monotonic() + 5.0
+        while not os.path.exists(spec[1]) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return faulty_task(("crash-always",))
+    return faulty_task(spec)
 
 
 def _instances(n=5):
@@ -283,6 +304,25 @@ def test_crash_shared_with_a_healthy_instance_charges_neither():
     assert record["attempts"] == FAST_POLICY.max_attempts
     assert outcome.quarantined == 1
     assert outcome.retries >= 2  # both shared-crash victims reran
+
+
+def test_broken_pool_survivor_that_ignores_sigterm_is_killed(tmp_path):
+    """A worker still busy when its pool breaks, and deaf to SIGTERM (as
+    workers forked under the CLI's SIGTERM → KeyboardInterrupt handler
+    are), must not hold the pool teardown until its task ends."""
+    sentinel = str(tmp_path / "stubborn-started")
+    started = time.monotonic()
+    outcome = run_sweep(
+        _stubborn_or_fault,
+        [("stubborn", ("stubborn", sentinel, 30.0)),
+         ("poison", ("crash-after", sentinel))],
+        workers=2,
+        retry_policy=FAST_POLICY,
+    )
+    assert time.monotonic() - started < 15.0
+    assert outcome.results["stubborn"]["status"] == "ok"
+    assert outcome.results["stubborn"]["result"] == {"value": "stubborn"}
+    assert outcome.results["poison"]["status"] == "quarantined"
 
 
 @pytest.mark.parametrize("poisons, policy", [

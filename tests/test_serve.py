@@ -420,7 +420,7 @@ class TestDrain:
     def test_requests_after_drain_get_draining_response(self):
         st = fresh_engine_server()
         host, port = st.start()
-        sock = socket.create_connection((host, port), timeout=30)
+        sock = socket.create_connection((host, port), timeout=5)
         rfile = sock.makefile("rb")
         st.drain()
         time.sleep(0.2)
@@ -428,6 +428,11 @@ class TestDrain:
         try:
             sock.sendall(encode_frame(hom_query(c3, c3)))
             reply = rfile.readline()
+        except socket.timeout:
+            pytest.fail(
+                "a connection opened before drain was neither answered "
+                "nor closed"
+            )
         except OSError:
             reply = b""
         # Either the listener already closed our connection (fine) or
