@@ -27,8 +27,8 @@ the journals under ``benchmarks/results/``::
 The kernel's acceptance bar is a >= 5x median speedup on the medium
 grid with zero disagreements.
 
-The *batch* mode times ``solve_batch`` (one compiled target + shared
-scratch for a whole query list) against a loop of single solves that
+The *batch* mode times one ``BatchSolveSession`` (one compiled target +
+shared scratch for a whole query list) against a loop of single solves that
 recompiles the target per query, and merges a ``batch`` section into
 ``BENCH_hom.json`` without clobbering the kernel-compare keys::
 
@@ -60,7 +60,11 @@ import pytest
 
 from repro.engine import HomEngine
 from repro.exceptions import UnknownInstanceError
-from repro.kernel import BitsetHomomorphismSolver, CompiledTarget
+from repro.kernel import (
+    BatchSolveSession,
+    BitsetHomomorphismSolver,
+    CompiledTarget,
+)
 from repro.structures import (
     directed_cycle,
     directed_path,
@@ -354,7 +358,8 @@ def _time_batch_strategies(target, sources, repeat):
         return [engine.find_homomorphism(s, target) for s in structures]
 
     def batch():
-        return BitsetHomomorphismSolver.solve_batch(structures, target)
+        session = BatchSolveSession(target)
+        return [session.solve(s) for s in structures]
 
     timings = {}
     verdicts = {}
@@ -374,7 +379,7 @@ def _time_batch_strategies(target, sources, repeat):
 
 
 def run_batch_compare(repeat: int) -> dict:
-    """Time ``solve_batch`` against loops of single solves.
+    """Time a batch session against loops of single solves.
 
     Merges the report under the ``batch`` key of ``BENCH_hom.json``,
     preserving any kernel-compare results already there.
@@ -494,8 +499,8 @@ def main(argv=None) -> int:
                         help="kernel-compare: restrict to instances whose "
                              "name contains SUBSTRING")
     parser.add_argument("--batch", action="store_true",
-                        help="time solve_batch against loops of single "
-                             "solves; merges into BENCH_hom.json")
+                        help="time a batch session against loops of "
+                             "single solves; merges into BENCH_hom.json")
     parser.add_argument("--dp-compare", action="store_true",
                         help="check the treewidth DP against backtracking; "
                              "writes BENCH_dp.json")

@@ -419,14 +419,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from .engine import HomEngine, get_engine, set_engine
+    from .engine import HomEngine, get_engine
 
     if args.no_cache or args.no_kernel:
-        set_engine(HomEngine(
+        engine = HomEngine(
             cache_enabled=not args.no_cache,
             use_kernel=not args.no_kernel,
-        ))
-    engine = get_engine()
+        )
+    else:
+        engine = get_engine()
     if args.reset:
         engine.reset_stats()
     if args.pair:
@@ -634,10 +635,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """CLI entry point; returns the exit code.
+
+    Leaves the process's SIGTERM/SIGINT handlers as it found them:
+    ``sweep`` and ``serve`` route both signals to KeyboardInterrupt
+    while they run (:func:`_install_interrupt_handlers`), and a host
+    that calls ``main`` in-process keeps its own handlers afterwards,
+    as does every worker it forks later.
+    """
+    import signal as _signal
+
+    args = build_parser().parse_args(argv)
+    handlers = [
+        (signum, _signal.getsignal(signum))
+        for signum in (_signal.SIGTERM, _signal.SIGINT)
+    ]
+    try:
+        return args.func(args)
+    finally:
+        for signum, handler in handlers:
+            if _signal.getsignal(signum) is not handler:
+                _signal.signal(signum, handler)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import UnsupportedFragmentError, ValidationError
-from ..homomorphism.search import HomomorphismSearch
 from ..logic.normalform import (
     ConjunctiveDisjunct,
     existential_positive_to_disjuncts,
@@ -211,8 +210,7 @@ class ConjunctiveQuery:
         structure into ``structure``, projected onto the head.  For a
         Boolean query the result is ``{()}`` or ``set()``.
         """
-        mapped = self._target_compatible(structure)
-        search = HomomorphismSearch(self.canonical_structure(), mapped)
+        search = self._search(structure)
         answers: Set[Tuple[Element, ...]] = set()
         if self.is_boolean():
             if search.first() is not None:
@@ -224,10 +222,16 @@ class ConjunctiveQuery:
 
     def holds_in(self, structure: Structure) -> bool:
         """Boolean satisfaction: whether some answer exists."""
-        mapped = self._target_compatible(structure)
-        return HomomorphismSearch(
-            self.canonical_structure(), mapped
-        ).first() is not None
+        return self._search(structure).first() is not None
+
+    def _search(self, structure: Structure):
+        """The engine's plain search from the canonical structure into
+        ``structure``."""
+        from ..engine import get_engine
+
+        return get_engine().search(
+            self.canonical_structure(), self._target_compatible(structure)
+        )
 
     def _target_compatible(self, structure: Structure) -> Structure:
         """Adapt the target's vocabulary to the canonical structure's."""

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import ValidationError
 from ..homomorphism.cores import compute_core
-from ..homomorphism.search import HomomorphismSearch, find_homomorphism
+from ..homomorphism.search import find_homomorphism
 from ..logic.syntax import Atom, Const, Var
 from ..structures.structure import Element, Structure, Tup
 from .tgds import SchemaMapping, SourceToTargetTGD
@@ -177,7 +177,9 @@ def solution_homomorphism(
         if any(not is_null(e) and e not in b.universe_set
                for e in a.universe):
             return None
-        return HomomorphismSearch(a, b, pinned=pinned).first()
+        from ..engine import get_engine
+
+        return get_engine().search(a, b, pinned=pinned).first()
     return find_homomorphism(fa, fb)
 
 

@@ -1,13 +1,13 @@
 """The one caching rule behind every structure-keyed cache.
 
-Five caches share it, each a :class:`VerifiedLRU`: the hom engine's
+Four caches share it, each a :class:`VerifiedLRU`: the hom engine's
 memo (:class:`HomCache`), the kernel's compiled targets
-(:class:`~repro.kernel.compile.CompiledTargetCache`), the reference
-solver's target indexes
-(:func:`~repro.homomorphism.search.target_index_for`), a batch
+(:class:`~repro.kernel.compile.CompiledTargetCache`), a batch
 session's query memo (:class:`~repro.kernel.batch.BatchSolveSession`)
 and the serve warm-session table
-(:class:`~repro.serve.service.DecisionService`, keyed by name).
+(:class:`~repro.serve.service.DecisionService`, keyed by name).  The
+reference solver keeps no cache: it builds its target index per
+search.
 
 * **Key by fingerprint, confirm by equality.**  Keys hold canonical
   structure fingerprints (plus the query kind and options), so a key is

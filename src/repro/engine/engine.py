@@ -14,16 +14,20 @@ queries and core computations.  Each query is
    through so backtracks / nodes / prunings are counted, and the result
    stored.
 
+Callers that need every homomorphism, or one uncached answer, take a
+plain search from :meth:`HomEngine.search`; it runs on the solver
+``use_kernel`` selects, so the engine is the only place that picks one.
+
 A process-global engine (``get_engine()``) backs the convenience
 functions of :mod:`repro.homomorphism`; benchmarks construct private
 instances (e.g. with ``cache_enabled=False`` or ``use_kernel=False``)
-for ablations, and ``repro stats --no-cache/--no-kernel`` installs one
-as the global engine.  The instrumentation stays on either way.
+for ablations, and ``repro stats --no-cache/--no-kernel`` runs on one.
+The instrumentation stays on either way.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from ..exceptions import (
     BudgetExceededError,
@@ -47,23 +51,32 @@ Homomorphism = Dict[Element, Element]
 DEFAULT_CACHE_SIZE = 4096
 
 
-def _hom_key(
-    source: Structure,
-    target: Structure,
+def _options(
     injective: bool,
     pinned: Optional[Mapping[Element, Element]],
-    forbidden: FrozenSet[Element],
+    forbidden_images: Iterable[Element],
     propagate: bool,
-) -> Tuple:
+) -> Dict[str, object]:
+    """One hom query's options as solver keywords (forbidden images as
+    a frozenset)."""
+    return {
+        "injective": injective,
+        "pinned": pinned,
+        "forbidden_images": frozenset(forbidden_images),
+        "propagate": propagate,
+    }
+
+
+def _hom_key(source: Structure, target: Structure, options) -> Tuple:
     """The memo key of one hom query."""
     return (
         "hom",
         source.fingerprint(),
         target.fingerprint(),
-        injective,
-        frozenset((pinned or {}).items()),
-        forbidden,
-        propagate,
+        options["injective"],
+        frozenset((options["pinned"] or {}).items()),
+        options["forbidden_images"],
+        options["propagate"],
     )
 
 
@@ -75,6 +88,35 @@ def _copy_witness(
 
 def _same(value):
     return value
+
+
+_GOVERNOR_TRIPS = (
+    DeadlineExceededError,
+    BudgetExceededError,
+    OperationCancelledError,
+)
+
+
+def _decide(find):
+    """``find()``'s witness-or-``None`` as a governed
+    :class:`~repro.resources.Verdict`: TRUE with the witness, FALSE on
+    ``None``, UNKNOWN when a governor trip interrupts it."""
+    from ..resources.governor import current_context
+    from ..resources.verdict import Verdict
+
+    ctx = current_context()
+    try:
+        witness = find()
+    except _GOVERNOR_TRIPS as err:
+        GOVERNOR.unknown_verdicts += 1
+        return Verdict.from_error(err)
+    if witness is None:
+        return Verdict.false(
+            reason="no homomorphism exists", consumed=ctx.consumption()
+        )
+    return Verdict.true(
+        reason="witness found", witness=witness, consumed=ctx.consumption()
+    )
 
 
 class HomEngine:
@@ -164,15 +206,21 @@ class HomEngine:
     ) -> Optional[Homomorphism]:
         """A homomorphism ``source → target`` honoring the options, or
         ``None``; memoized on (fingerprints, options)."""
+        return self._find(
+            source,
+            target,
+            _options(injective, pinned, forbidden_images, propagate),
+        )
+
+    def _find(self, source, target, options, session=None):
+        """The memo/count path every witness query takes; ``session`` is
+        a batch handle's session getter (see :meth:`_solve`)."""
         self.stats.calls += 1
-        forbidden = frozenset(forbidden_images)
         return self._memoized(
-            lambda: _hom_key(
-                source, target, injective, pinned, forbidden, propagate
-            ),
+            lambda: _hom_key(source, target, options),
             (source, target),
-            lambda: self._solve(
-                source, target, injective, pinned, forbidden, propagate
+            lambda: self._timed(
+                self._solve, source, target, options, session
             ),
             _copy_witness,
         )
@@ -180,9 +228,10 @@ class HomEngine:
     def batch(self, target: Structure) -> "_EngineBatch":
         """A batched solve handle for many queries against ``target``.
 
-        The returned handle's :meth:`_EngineBatch.find` answers queries
-        with the same memoization, instrumentation and option semantics
-        as :meth:`find_homomorphism`, but all kernel solves share one
+        The returned handle's :meth:`_EngineBatch.find` (and its governed
+        form :meth:`_EngineBatch.decide`) answers queries with the same
+        memoization, instrumentation and option semantics as
+        :meth:`find_homomorphism`, but all kernel solves share one
         :class:`~repro.kernel.batch.BatchSolveSession` — the target is
         compiled once and its support tables and propagation scratch
         are reused across the whole batch.  This is the fast path for
@@ -190,33 +239,6 @@ class HomEngine:
         (many sources, one target).  Handles are single-threaded.
         """
         return _EngineBatch(self, target)
-
-    def solve_batch(
-        self,
-        sources: Iterable[Structure],
-        target: Structure,
-        *,
-        injective: bool = False,
-        pinned: Optional[Mapping[Element, Element]] = None,
-        forbidden_images: Iterable[Element] = (),
-        propagate: bool = True,
-    ) -> list:
-        """One witness-or-``None`` per source, via a shared batch.
-
-        Convenience wrapper over :meth:`batch` applying the same
-        options to every query.
-        """
-        handle = self.batch(target)
-        return [
-            handle.find(
-                source,
-                injective=injective,
-                pinned=pinned,
-                forbidden_images=forbidden_images,
-                propagate=propagate,
-            )
-            for source in sources
-        ]
 
     def exists_homomorphism(self, source: Structure, target: Structure) -> bool:
         """Whether a homomorphism ``source → target`` exists (memoized).
@@ -249,12 +271,8 @@ class HomEngine:
         Never hangs and never lets a governor trip escape as an
         exception; this is the entry point services should call.
         """
-        from ..resources.governor import current_context
-        from ..resources.verdict import Verdict
-
-        ctx = current_context()
-        try:
-            witness = self.find_homomorphism(
+        return _decide(
+            lambda: self.find_homomorphism(
                 source,
                 target,
                 injective=injective,
@@ -262,85 +280,79 @@ class HomEngine:
                 forbidden_images=forbidden_images,
                 propagate=propagate,
             )
-        except (
-            DeadlineExceededError,
-            BudgetExceededError,
-            OperationCancelledError,
-        ) as err:
-            GOVERNOR.unknown_verdicts += 1
-            return Verdict.from_error(err)
-        if witness is None:
-            return Verdict.false(
-                reason="no homomorphism exists", consumed=ctx.consumption()
-            )
-        return Verdict.true(
-            reason="witness found",
-            witness=witness,
-            consumed=ctx.consumption(),
         )
 
-    def _solve(
+    def search(
         self,
         source: Structure,
         target: Structure,
-        injective: bool,
-        pinned: Optional[Mapping[Element, Element]],
-        forbidden: FrozenSet[Element],
-        propagate: bool,
-    ) -> Optional[Homomorphism]:
+        *,
+        injective: bool = False,
+        pinned: Optional[Mapping[Element, Element]] = None,
+        forbidden_images: Iterable[Element] = (),
+        propagate: bool = True,
+    ):
+        """A plain backtracking search ``source → target``: no memo, no DP.
+
+        Returns the solver ``use_kernel`` selects, counting into
+        :attr:`stats`: a :class:`~repro.kernel.solver.
+        BitsetHomomorphismSolver` over the target compiled through
+        :attr:`compiled_targets`, or the reference
+        :class:`~repro.homomorphism.search.HomomorphismSearch`.  Both
+        offer ``first()`` and ``solutions()`` and enumerate in the same
+        order, so callers that need every homomorphism (CQ answers,
+        isomorphism and automorphism scans) ask here.
+        """
+        options = dict(
+            injective=injective,
+            pinned=pinned,
+            forbidden_images=forbidden_images,
+            propagate=propagate,
+            stats=self.stats,
+        )
+        if self.use_kernel:
+            from ..kernel.solver import BitsetHomomorphismSolver
+
+            compiled = self.compiled_targets.get(target, stats=self.stats)
+            return BitsetHomomorphismSolver(source, compiled, **options)
+        from ..homomorphism.search import HomomorphismSearch
+
+        return HomomorphismSearch(source, target, **options)
+
+    def _solve(self, source, target, options, session):
+        """Answer one memo miss (counted; :meth:`_find` times it).
+
+        The reference solver (``use_kernel=False``) always runs a plain
+        :meth:`search`.  On the kernel, a batch handle's ``session``
+        getter answers through its shared
+        :class:`~repro.kernel.batch.BatchSolveSession` (no DP);
+        otherwise the treewidth DP answers when
+        :func:`~repro.kernel.dp.plan_dp` accepts the source, and a plain
+        :meth:`search` when it does not.
+        """
         self.stats.solves += 1
-        with Timer() as timer:
-            if self.use_kernel:
-                from ..kernel.solver import BitsetHomomorphismSolver
+        if not self.use_kernel:
+            return self.search(source, target, **options).first()
+        self.stats.kernel_solves += 1
+        if session is not None:
+            return session().solve(source, **options)
+        if self.use_dp:
+            from ..kernel.dp import TreewidthDPSolver, plan_dp
 
-                self.stats.kernel_solves += 1
-                compiled = self.compiled_targets.get(target, stats=self.stats)
-                plan = None
-                if self.use_dp:
-                    from ..kernel.dp import plan_dp
-
-                    plan = plan_dp(
-                        source, compiled.size(), injective=injective
-                    )
-                if plan is not None:
-                    from ..kernel.dp import TreewidthDPSolver
-
-                    dp = TreewidthDPSolver(
-                        source,
-                        compiled,
-                        plan.nice,
-                        pinned=pinned,
-                        forbidden_images=forbidden,
-                        propagate=propagate,
-                        stats=self.stats,
-                    )
-                    result = dp.first()
-                else:
-                    solver = BitsetHomomorphismSolver(
-                        source,
-                        compiled,
-                        injective=injective,
-                        pinned=pinned,
-                        forbidden_images=forbidden,
-                        propagate=propagate,
-                        stats=self.stats,
-                    )
-                    result = solver.first()
-            else:
-                from ..homomorphism.search import HomomorphismSearch
-
-                search = HomomorphismSearch(
+            plan = plan_dp(
+                source, target.size(), injective=options["injective"]
+            )
+            if plan is not None:  # never injective: the gate rejects it
+                return TreewidthDPSolver(
                     source,
-                    target,
-                    injective=injective,
-                    pinned=pinned,
-                    forbidden_images=forbidden,
-                    propagate=propagate,
+                    self.compiled_targets.get(target, stats=self.stats),
+                    plan.nice,
+                    pinned=options["pinned"],
+                    forbidden_images=options["forbidden_images"],
+                    propagate=options["propagate"],
                     stats=self.stats,
-                )
-                result = search.first()
-        self.stats.solve_time_s += timer.elapsed_s
-        return result
+                ).first()
+        return self.search(source, target, **options).first()
 
     # ------------------------------------------------------------------
     # Core computation
@@ -440,8 +452,9 @@ class _EngineBatch:
     :class:`~repro.kernel.batch.BatchSolveSession`, so the target is
     compiled once for the whole batch and every solve shares its
     support tables and propagation scratch.  When the engine runs the
-    reference solver (``use_kernel=False``) the handle degrades to
-    plain per-query calls — the differential oracle stays exact.
+    reference solver (``use_kernel=False``) no session is made and each
+    miss is a plain :meth:`HomEngine.search` — the differential oracle
+    stays exact.
 
     Not thread-safe (the underlying session shares scratch buffers).
     """
@@ -474,39 +487,17 @@ class _EngineBatch:
         propagate: bool = True,
     ) -> Optional[Homomorphism]:
         """A homomorphism ``source → self.target``, or ``None``."""
-        engine = self.engine
-        if not engine.use_kernel:
-            return engine.find_homomorphism(
-                source,
-                self.target,
-                injective=injective,
-                pinned=pinned,
-                forbidden_images=forbidden_images,
-                propagate=propagate,
-            )
-        engine.stats.calls += 1
-        forbidden = frozenset(forbidden_images)
-
-        def solve() -> Optional[Homomorphism]:
-            engine.stats.solves += 1
-            engine.stats.kernel_solves += 1
-            return engine._timed(
-                self._get_session().solve,
-                source,
-                injective=injective,
-                pinned=pinned,
-                forbidden_images=forbidden,
-                propagate=propagate,
-            )
-
-        return engine._memoized(
-            lambda: _hom_key(
-                source, self.target, injective, pinned, forbidden, propagate
-            ),
-            (source, self.target),
-            solve,
-            _copy_witness,
+        return self.engine._find(
+            source,
+            self.target,
+            _options(injective, pinned, forbidden_images, propagate),
+            self._get_session,
         )
+
+    def decide(self, source: Structure):
+        """The governed verdict on ``source → self.target``, as
+        :meth:`HomEngine.decide_homomorphism` gives it."""
+        return _decide(lambda: self.find(source))
 
     def exists(self, source: Structure) -> bool:
         """Whether a homomorphism ``source → self.target`` exists."""

@@ -69,11 +69,15 @@ def find_proper_retraction(
     return None
 
 
-def core_by_retractions(structure: Structure, engine=None) -> Structure:
-    """The raw iterated-retraction core algorithm (no top-level memo).
+def _retract_to_core(
+    structure: Structure, engine=None
+) -> Tuple[Structure, Dict[Element, Element]]:
+    """The iterated-retraction loop: the core of ``structure`` and a
+    homomorphism from ``structure`` onto it.
 
-    :func:`compute_core` wraps this through the engine's core cache;
-    the engine itself calls back into this function on a cache miss.
+    Every retraction search runs through ``engine`` (default: the
+    global one), which counts each step in ``core_iterations``; each
+    step checkpoints ``cores.retract``.
     """
     if engine is None:
         from ..engine import get_engine
@@ -81,13 +85,24 @@ def core_by_retractions(structure: Structure, engine=None) -> Structure:
         engine = get_engine()
     context = current_context()
     current = structure
+    total: Dict[Element, Element] = {e: e for e in structure.universe}
     while True:
         context.checkpoint("cores.retract")
         retraction = find_proper_retraction(current, engine=engine)
         if retraction is None:
-            return current
+            return current, total
         engine.stats.core_iterations += 1
         current = _shrunk(homomorphic_image(current, retraction), current)
+        total = {e: retraction[v] for e, v in total.items()}
+
+
+def core_by_retractions(structure: Structure, engine=None) -> Structure:
+    """The raw iterated-retraction core algorithm (no top-level memo).
+
+    :func:`compute_core` wraps this through the engine's core cache;
+    the engine itself calls back into this function on a cache miss.
+    """
+    return _retract_to_core(structure, engine)[0]
 
 
 def compute_core(structure: Structure) -> Structure:
@@ -105,17 +120,9 @@ def compute_core(structure: Structure) -> Structure:
 def compute_core_with_map(
     structure: Structure,
 ) -> Tuple[Structure, Dict[Element, Element]]:
-    """The core together with a homomorphism from the input onto it."""
-    context = current_context()
-    current = structure
-    total: Dict[Element, Element] = {e: e for e in structure.universe}
-    while True:
-        context.checkpoint("cores.retract_with_map")
-        retraction = find_proper_retraction(current)
-        if retraction is None:
-            return current, total
-        current = _shrunk(homomorphic_image(current, retraction), current)
-        total = {e: retraction[v] for e, v in total.items()}
+    """The core together with a homomorphism from the input onto it
+    (computed through the global engine, unmemoized)."""
+    return _retract_to_core(structure)
 
 
 def have_same_core(a: Structure, b: Structure) -> bool:

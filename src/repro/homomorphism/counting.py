@@ -91,11 +91,11 @@ def endomorphism_count(structure: Structure) -> int:
 
 def automorphism_count(structure: Structure) -> int:
     """The number of automorphisms (bijective endos with hom inverses)."""
-    from .isomorphism import find_isomorphism
-    from .search import HomomorphismSearch, is_homomorphism
+    from ..engine import get_engine
+    from .search import is_homomorphism
 
     total = 0
-    for candidate in HomomorphismSearch(
+    for candidate in get_engine().search(
         structure, structure, injective=True
     ).solutions():
         inverse = {v: k for k, v in candidate.items()}

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..structures.structure import Element, Structure
-from .search import HomomorphismSearch, is_homomorphism
+from .search import is_homomorphism
 
 Isomorphism = Dict[Element, Element]
 
@@ -28,7 +28,9 @@ def find_isomorphism(a: Structure, b: Structure) -> Optional[Isomorphism]:
     for name in a.vocabulary.relation_names:
         if len(a.relation(name)) != len(b.relation(name)):
             return None
-    search = HomomorphismSearch(a, b, injective=True)
+    from ..engine import get_engine
+
+    search = get_engine().search(a, b, injective=True)
     for candidate in search.solutions():
         inverse = {v: k for k, v in candidate.items()}
         if is_homomorphism(b, a, inverse):

@@ -12,7 +12,13 @@ The solver is backtracking search with:
   ``R^B``),
 * AC-3-style propagation over the fact hypergraph,
 * MRV (fewest remaining values) variable selection, and
-* per-position tuple indexes on the target for fast support checks.
+* per-position tuple indexes on the target for fast support checks
+  (built per search).
+
+:class:`HomomorphismSearch` is the reference solver: the engine runs it
+under ``HomEngine(use_kernel=False)`` and the tests use it as their
+oracle.  Production code asks the engine
+(:meth:`~repro.engine.engine.HomEngine.search`), never this class.
 
 The search is *governed*: every node expansion and every propagation
 sweep passes a cooperative :meth:`~repro.resources.RunContext.checkpoint`
@@ -27,7 +33,6 @@ from collections import defaultdict
 from typing import (
     Dict,
     FrozenSet,
-    Hashable,
     Iterator,
     List,
     Mapping,
@@ -36,7 +41,6 @@ from typing import (
     Tuple,
 )
 
-from ..engine.cache import MISS, VerifiedLRU
 from ..exceptions import ValidationError
 from ..resources.governor import RunContext, current_context
 from ..structures.structure import Element, Structure, Tup
@@ -121,21 +125,6 @@ class _TargetIndex:
         return self._twins
 
 
-#: Target indexes, reused across the many searches that core-retraction
-#: loops and containment batches issue against one target.
-_INDEX_CACHE = VerifiedLRU(256)
-
-
-def target_index_for(target: Structure) -> _TargetIndex:
-    """The (cached) :class:`_TargetIndex` of ``target``."""
-    key, witnesses = target.fingerprint(), (target,)
-    index = _INDEX_CACHE.get(key, witnesses)
-    if index is MISS:
-        index = _TargetIndex(target)
-        _INDEX_CACHE.put(key, witnesses, index)
-    return index
-
-
 class HomomorphismSearch:
     """A configurable homomorphism search between two fixed structures.
 
@@ -188,7 +177,7 @@ class HomomorphismSearch:
         self.propagate = propagate
         self.stats = stats
         self.context = context if context is not None else current_context()
-        self.index = target_index_for(target)
+        self.index = _TargetIndex(target)
 
         forbidden = frozenset(forbidden_images)
         base_domain = [
@@ -410,14 +399,12 @@ def iter_homomorphisms(
 ) -> Iterator[Homomorphism]:
     """All homomorphisms from ``source`` to ``target``.
 
-    Enumeration is not memoized (the cache stores single witnesses), but
-    the search is still counted by the engine's instrumentation.
+    Enumeration is not memoized (the cache stores single witnesses); it
+    runs on the global engine's plain search, which counts it.
     """
     from ..engine import get_engine
 
-    return HomomorphismSearch(
-        source, target, stats=get_engine().stats
-    ).solutions()
+    return get_engine().search(source, target).solutions()
 
 
 def count_homomorphisms(source: Structure, target: Structure) -> int:

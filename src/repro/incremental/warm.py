@@ -32,21 +32,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..engine.instrumentation import GOVERNOR, INCREMENTAL
-from ..exceptions import (
-    BudgetExceededError,
-    DeadlineExceededError,
-    OperationCancelledError,
-)
+from ..engine.instrumentation import INCREMENTAL
 from ..homomorphism.search import is_homomorphism
 from ..structures.structure import Element, Structure
 from .delta import Delta, EditRecord, apply_delta
-
-_GOVERNOR_TRIPS = (
-    DeadlineExceededError,
-    BudgetExceededError,
-    OperationCancelledError,
-)
 
 
 class IncrementalHomSession:
@@ -154,25 +143,10 @@ class IncrementalHomSession:
         return None  # UNKNOWN proves nothing about the edited instance
 
     def _decide_full(self):
-        from ..resources.governor import current_context
-        from ..resources.verdict import Verdict
-
-        ctx = current_context()
         if self._batch is None or self._batch_target is not self.target:
             self._batch = self.engine.batch(self.target)
             self._batch_target = self.target
-        try:
-            witness = self._batch.find(self.source)
-        except _GOVERNOR_TRIPS as err:
-            GOVERNOR.unknown_verdicts += 1
-            return Verdict.from_error(err)
-        if witness is None:
-            return Verdict.false(
-                reason="no homomorphism exists", consumed=ctx.consumption()
-            )
-        return Verdict.true(
-            reason="witness found", witness=witness, consumed=ctx.consumption()
-        )
+        return self._batch.decide(self.source)
 
 
 class IncrementalCoreSession:
@@ -227,21 +201,9 @@ class IncrementalCoreSession:
     def _core_with_map(
         self, structure: Structure
     ) -> Tuple[Structure, Dict[Element, Element]]:
-        from ..homomorphism.cores import _shrunk, find_proper_retraction
-        from ..resources.governor import current_context
-        from ..structures.operations import homomorphic_image
+        from ..homomorphism.cores import _retract_to_core
 
-        context = current_context()
-        current = structure
-        total: Dict[Element, Element] = {e: e for e in structure.universe}
-        while True:
-            context.checkpoint("incremental.core.retract")
-            retraction = find_proper_retraction(current, engine=self.engine)
-            if retraction is None:
-                return current, total
-            self.engine.stats.core_iterations += 1
-            current = _shrunk(homomorphic_image(current, retraction), current)
-            total = {e: retraction[v] for e, v in total.items()}
+        return _retract_to_core(structure, self.engine)
 
 
 def incremental_containment_session(q1, q2, engine=None) -> IncrementalHomSession:

@@ -21,9 +21,9 @@ default:
   re-sweeps), forward-checking fallback for the ``propagate=False``
   ablation.
 * :mod:`repro.kernel.batch` — the v2 batched entry point
-  (:class:`~repro.kernel.batch.BatchSolveSession` /
-  :meth:`~repro.kernel.solver.BitsetHomomorphismSolver.solve_batch`):
-  many sources against one target compile the target once, share its
+  (:class:`~repro.kernel.batch.BatchSolveSession`, which the engine's
+  :meth:`~repro.engine.engine.HomEngine.batch` handle drives): many
+  sources against one target compile the target once, share its
   memoized support tables and one propagation scratch pair, and dedup
   repeated (source, options) queries within the session.
 * :mod:`repro.kernel.dp` — the v2 treewidth-guided DP solve path:

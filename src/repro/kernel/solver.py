@@ -2,8 +2,12 @@
 
 Drop-in counterpart of
 :class:`repro.homomorphism.search.HomomorphismSearch` (same options,
-same governance contract, same counter record) that runs over the
-dense-integer form produced by :mod:`repro.kernel.compile`:
+same governance contract, same counter record, same enumeration order)
+that runs over the dense-integer form produced by
+:mod:`repro.kernel.compile`.  The engine builds it
+(:meth:`~repro.engine.engine.HomEngine.search`); many queries against
+one target share a :class:`~repro.kernel.batch.BatchSolveSession`.
+What makes it fast:
 
 * domains are Python-int bitmasks over target-element indexes; MRV uses
   ``int.bit_count()`` and pruning is ``&``;
@@ -99,7 +103,8 @@ class BitsetHomomorphismSolver:
     :class:`~repro.homomorphism.search.HomomorphismSearch` (injective /
     pinned / forbidden_images / propagate / stats / context) and raises
     the same :class:`~repro.exceptions.ValidationError` on vocabulary or
-    pinning misuse, so the engine can swap the two freely.
+    pinning misuse, so the engine can swap the two freely.  The engine
+    is the one place that chooses between them.
     """
 
     def __init__(
@@ -295,49 +300,6 @@ class BitsetHomomorphismSolver:
     def first(self) -> Optional[Homomorphism]:
         """The first homomorphism found, or ``None``."""
         return next(self.solutions(), None)
-
-    @classmethod
-    def solve_batch(
-        cls,
-        sources,
-        target,
-        *,
-        injective: bool = False,
-        pinned: Optional[Mapping[Element, Element]] = None,
-        forbidden_images: Iterable[Element] = (),
-        propagate: bool = True,
-        stats=None,
-        context: Optional[RunContext] = None,
-        cache=None,
-    ) -> List[Optional[Homomorphism]]:
-        """Solve many ``source → target`` queries against one target.
-
-        The batched entry point: the target is compiled exactly once
-        (through ``cache``, a
-        :class:`~repro.kernel.compile.CompiledTargetCache`, when given;
-        ``target`` may also already be a
-        :class:`~repro.kernel.compile.CompiledTarget`), its per-position
-        support tables are shared by every query, and one propagation
-        scratch pair is reused across the whole batch.  Returns one
-        witness-or-``None`` per source, in order.  Options apply to
-        every query; for per-query options use
-        :class:`~repro.kernel.batch.BatchSolveSession` directly.
-        """
-        from .batch import BatchSolveSession
-
-        session = BatchSolveSession(
-            target, cache=cache, stats=stats, context=context
-        )
-        return [
-            session.solve(
-                source,
-                injective=injective,
-                pinned=pinned,
-                forbidden_images=forbidden_images,
-                propagate=propagate,
-            )
-            for source in sources
-        ]
 
     def _search(
         self,

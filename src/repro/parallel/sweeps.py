@@ -105,15 +105,10 @@ def hom_task(spec: Tuple[Spec, Spec]) -> Dict[str, Any]:
     before_nodes = engine.stats.nodes
     before_backtracks = engine.stats.backtracks
     verdict = engine.decide_homomorphism(source, target)
-    value = (
-        "TRUE" if verdict.is_true
-        else "FALSE" if verdict.is_false
-        else "UNKNOWN"
-    )
     return {
         "source": list(source_spec),
         "target": list(target_spec),
-        "verdict": value,
+        "verdict": verdict.value.value,
         "reason": verdict.reason,
         "nodes": engine.stats.nodes - before_nodes,
         "backtracks": engine.stats.backtracks - before_backtracks,
@@ -131,32 +126,17 @@ def hom_batch_task(spec: Tuple[Spec, List[Spec]]) -> Dict[str, Any]:
     poisoning the rest of the batch.
     """
     from ..engine import get_engine
-    from ..engine.instrumentation import GOVERNOR
-    from ..exceptions import ResourceError
 
     target_spec, source_specs = spec
-    target = build_structure(target_spec)
-    engine = get_engine()
-    batch = engine.batch(target)
-    verdicts: List[str] = []
-    found = 0
-    for source_spec in source_specs:
-        source = build_structure(source_spec)
-        try:
-            witness = batch.find(source)
-        except ResourceError:
-            GOVERNOR.unknown_verdicts += 1
-            verdicts.append("UNKNOWN")
-            continue
-        if witness is not None:
-            found += 1
-            verdicts.append("TRUE")
-        else:
-            verdicts.append("FALSE")
+    batch = get_engine().batch(build_structure(target_spec))
+    verdicts = [
+        batch.decide(build_structure(source_spec)).value.value
+        for source_spec in source_specs
+    ]
     return {
         "target": list(target_spec),
         "queries": len(source_specs),
-        "found": found,
+        "found": verdicts.count("TRUE"),
         "verdicts": verdicts,
     }
 

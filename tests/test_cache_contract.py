@@ -1,11 +1,11 @@
 """The caching contract, checked on every structure-keyed cache.
 
-The hom memo, the compiled-target cache, the reference solver's target
-indexes and a batch session's query memo all run on
-:class:`repro.engine.cache.VerifiedLRU`.  Each test drives every one of
-them through its own lookup path and checks one clause of the rule in
-:mod:`repro.engine.cache`: an isomorphic-but-unequal structure never
-gets another structure's hit, the key and entry bounds hold,
+The hom memo, the compiled-target cache and a batch session's query
+memo all run on :class:`repro.engine.cache.VerifiedLRU`.  Each test
+drives every one of them through its own lookup path and checks one
+clause of the rule in :mod:`repro.engine.cache`: an
+isomorphic-but-unequal structure never gets another structure's hit,
+the key and entry bounds hold,
 ``invalidate(fp)`` drops only the entries that mention ``fp``,
 ``clear()`` keeps the counters, and isomorphic-but-unequal structures
 used alternately both stay cached.  A threaded stress test checks the
@@ -18,7 +18,6 @@ import threading
 
 import pytest
 
-import repro.homomorphism.search as search
 import repro.kernel.batch as batch
 from repro.engine.cache import MISS, HomCache, VerifiedLRU
 from repro.engine.engine import HomEngine
@@ -52,12 +51,6 @@ def _compiled_targets(maxsize, monkeypatch):
     return cache, cache.get, lambda compiled: set(compiled.elements)
 
 
-def _reference_index(maxsize, monkeypatch):
-    monkeypatch.setattr(search, "_INDEX_CACHE", VerifiedLRU(maxsize))
-    return (search._INDEX_CACHE, search.target_index_for,
-            lambda index: index._target.universe_set)
-
-
 def _batch_memo(maxsize, monkeypatch):
     monkeypatch.setattr(batch, "SESSION_MEMO_SIZE", maxsize)
     session = BatchSolveSession(TARGET)
@@ -71,7 +64,6 @@ def _batch_memo(maxsize, monkeypatch):
 USERS = {
     "memo": _memo,
     "compiled-targets": _compiled_targets,
-    "reference-index": _reference_index,
     "batch-memo": _batch_memo,
 }
 

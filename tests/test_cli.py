@@ -267,6 +267,27 @@ class TestSweep:
             reset_engine()
 
 
+class TestProcessState:
+    """``main`` leaves an in-process host as it found it."""
+
+    def test_sweep_and_stats_restore_handlers_and_engine(self, capsys):
+        import signal
+
+        from repro.engine import get_engine
+
+        handlers = (signal.getsignal(signal.SIGTERM),
+                    signal.getsignal(signal.SIGINT))
+        engine = get_engine()
+        assert main(["sweep", "cores", "--only", "rigid-cycle",
+                     "--workers", "1"]) == 0
+        capsys.readouterr()
+        assert main(["stats", "--no-kernel"]) == 0
+        assert json.loads(capsys.readouterr().out)["kernel_enabled"] is False
+        assert (signal.getsignal(signal.SIGTERM),
+                signal.getsignal(signal.SIGINT)) == handlers
+        assert get_engine() is engine and engine.use_kernel
+
+
 class TestBenchOnlyFilter:
     """The bench script's --only filter fails structurally, like sweep's."""
 

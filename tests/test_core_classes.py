@@ -14,7 +14,6 @@ from repro.structures import (
     bicycle_structure,
     clique_structure,
     directed_cycle,
-    directed_path,
     grid_structure,
     star_structure,
     undirected_cycle,

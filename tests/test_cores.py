@@ -1,7 +1,5 @@
 """Unit tests for cores, retractions and homomorphic equivalence."""
 
-import pytest
-
 from repro.structures import (
     GRAPH_VOCABULARY,
     Structure,

@@ -13,7 +13,6 @@ from repro.core import (
     wheel_is_core,
 )
 from repro.structures import (
-    bicycle_structure,
     clique_structure,
     grid_structure,
     star_structure,

@@ -15,7 +15,6 @@ from repro.homomorphism.counting import (
 )
 from repro.structures import (
     GRAPH_VOCABULARY,
-    Structure,
     directed_clique,
     directed_cycle,
     directed_path,

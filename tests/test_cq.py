@@ -4,12 +4,11 @@ import pytest
 
 from repro.exceptions import UnsupportedFragmentError, ValidationError
 from repro.cq import ConjunctiveQuery, boolean_cq
-from repro.logic import Atom, Const, Var, atom, parse_formula, satisfies
+from repro.logic import Const, atom, parse_formula, satisfies
 from repro.structures import (
     GRAPH_VOCABULARY,
     Structure,
     Vocabulary,
-    directed_clique,
     directed_cycle,
     directed_path,
     random_directed_graph,

@@ -16,7 +16,6 @@ from repro.structures import (
     GRAPH_VOCABULARY,
     Structure,
     Vocabulary,
-    directed_clique,
     directed_cycle,
     directed_path,
     random_directed_graph,

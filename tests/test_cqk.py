@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cq import (
-    ConjunctiveQuery,
     canonical_structure_of_cqk,
     cqk_treewidth_bound_holds,
     parse_tree_decomposition,

@@ -1,7 +1,5 @@
 """Unit tests for boundedness certificates (Theorem 7.5 / experiment E8)."""
 
-import pytest
-
 from repro.datalog import (
     bounded_recursive_program,
     bounded_two_step_program,

@@ -12,8 +12,8 @@ from repro.datalog import (
     path_up_to_length_program,
 )
 from repro.exceptions import ValidationError
-from repro.logic import Atom, Var, atom
-from repro.structures import GRAPH_VOCABULARY, Vocabulary
+from repro.logic import atom
+from repro.structures import GRAPH_VOCABULARY
 
 
 class TestRule:

@@ -14,7 +14,6 @@ from repro.logic import (
 )
 from repro.structures import (
     GRAPH_VOCABULARY,
-    Structure,
     directed_cycle,
     directed_path,
     random_directed_graph,

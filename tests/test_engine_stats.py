@@ -165,9 +165,9 @@ class TestSnapshotAndGlobalEngine:
     def test_reset_stats_zeroes_v2_counters(self, engine):
         import repro.structures as st
 
-        engine.solve_batch(
-            [st.directed_path(2), st.directed_path(3)], directed_cycle(3)
-        )
+        handle = engine.batch(directed_cycle(3))
+        for source in (st.directed_path(2), st.directed_path(3)):
+            handle.find(source)
         engine.exists_homomorphism(
             st.undirected_cycle(16), st.undirected_path(2)
         )

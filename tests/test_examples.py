@@ -8,7 +8,6 @@ by a one-off staged construction, still well under a minute.
 
 import importlib.util
 import os
-import sys
 
 import pytest
 

@@ -1,7 +1,5 @@
 """Unit tests for Lemma 5.2 and Theorem 5.3 (excluded minors)."""
 
-import pytest
-
 from repro.core import (
     lemma_5_2_witness,
     theorem_5_3_sweep,

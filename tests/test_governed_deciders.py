@@ -21,10 +21,9 @@ from repro.exceptions import (
     InvariantViolationError,
     OperationCancelledError,
 )
-from repro.resources import GOVERNOR, Verdict, governed
+from repro.resources import GOVERNOR, governed
 from repro.structures import (
     path_with_random_chords,
-    single_edge,
     undirected_cycle,
     undirected_path,
 )

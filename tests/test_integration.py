@@ -20,7 +20,6 @@ from repro.datalog import (
     bounded_recursive_program,
     certificate_defines_query,
     find_boundedness_certificate,
-    stage_ucqs,
     transitive_closure_program,
     unboundedness_evidence,
 )

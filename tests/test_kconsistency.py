@@ -4,7 +4,6 @@ import pytest
 
 from repro.exceptions import BudgetExceededError, ValidationError
 from repro.homomorphism import has_homomorphism
-from repro.pebble import duplicator_wins
 from repro.pebble.kconsistency import (
     consistency_equals_game,
     direct_k_consistency,

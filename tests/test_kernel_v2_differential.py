@@ -17,7 +17,6 @@ from repro.engine.instrumentation import SolverStats
 from repro.exceptions import ResourceError, ValidationError
 from repro.kernel import (
     BatchSolveSession,
-    BitsetHomomorphismSolver,
     CompiledTarget,
     TreewidthDPSolver,
     plan_dp,
@@ -99,16 +98,16 @@ def test_batch_differential_option_mixes(seed):
         check(case)
 
 
-def test_solve_batch_classmethod_matches_loop():
-    """``BitsetHomomorphismSolver.solve_batch`` answers like the oracle
-    on a containment-shaped workload."""
+def test_batch_session_matches_oracle_on_containment_workload():
+    """One :class:`BatchSolveSession` answers a containment-shaped
+    workload (many sources, one target) like the oracle."""
     target = undirected_cycle(6)
     sources = [undirected_path(n) for n in (2, 3, 4, 5)] + [
         undirected_cycle(n) for n in (3, 4, 5, 6)
     ]
-    batched = BitsetHomomorphismSolver.solve_batch(sources, target)
-    for source, witness in zip(sources, batched):
-        assert oracle.agrees(Case(source, target), witness)
+    session = BatchSolveSession(target)
+    for source in sources:
+        assert oracle.agrees(Case(source, target), session.solve(source))
 
 
 def test_batch_session_memo_dedups_repeats():

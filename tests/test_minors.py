@@ -1,7 +1,5 @@
 """Unit tests for minor containment, models and planarity."""
 
-import pytest
-
 from repro.graphtheory import (
     Graph,
     binary_tree,

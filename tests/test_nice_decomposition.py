@@ -19,7 +19,6 @@ from repro.graphtheory import (
     nice_decomposition,
     path_graph,
     random_graph,
-    random_tree,
     star_graph,
     treewidth_decomposition,
     treewidth_exact,

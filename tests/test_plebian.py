@@ -19,7 +19,6 @@ from repro.homomorphism import find_homomorphism, is_homomorphism
 from repro.structures import (
     GRAPH_VOCABULARY,
     Structure,
-    Vocabulary,
     bicycle_with_hub_constant,
     directed_cycle,
     random_directed_graph,

@@ -12,7 +12,6 @@ from repro.core import (
 from repro.logic import parse_formula
 from repro.structures import (
     GRAPH_VOCABULARY,
-    Structure,
     directed_cycle,
     directed_path,
     random_directed_graph,

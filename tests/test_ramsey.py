@@ -1,6 +1,6 @@
 """Unit tests for Ramsey bounds and witnesses."""
 
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.graphtheory import (
-    Graph,
     complete_graph,
     cycle_graph,
     find_removal_witness,

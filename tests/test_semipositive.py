@@ -3,7 +3,6 @@
 import pytest
 
 from repro.datalog import (
-    SemipositiveProgram,
     asymmetric_edge_program,
     distinct_pair_program,
     evaluate_semipositive,

@@ -10,8 +10,6 @@ import json
 import os
 import zlib
 
-import pytest
-
 from repro.cli import main
 from repro.distributed.journal import FencedShardJournal
 from repro.distributed.merge import (

@@ -6,7 +6,6 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.graphtheory import (
-    Sunflower,
     find_sunflower,
     is_sunflower,
     sunflower_bound,
