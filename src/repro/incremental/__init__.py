@@ -7,10 +7,12 @@ structure cheap.  The three layers, bottom to top:
   :class:`~repro.incremental.delta.Delta` values;
   :func:`~repro.incremental.delta.apply_delta` applies one immutably
   and returns an :class:`~repro.incremental.delta.EditRecord`.
-* fine-grained cache invalidation —
-  :meth:`repro.engine.engine.HomEngine.invalidate_edit` evicts only
-  memo/compiled entries mentioning the edited side's old fingerprint;
-  it is where a session's edit gets its one from-scratch fingerprint.
+* no cache invalidation — structures are immutable and every memo hit
+  is confirmed by ``==``, so an edit evicts nothing and the LRU bounds
+  are the only eviction;
+  :meth:`repro.engine.engine.HomEngine.invalidate_edit` only counts the
+  kept entries, and is where a session's edit gets its one
+  from-scratch fingerprint.
 * :mod:`repro.incremental.warm` /
   :mod:`repro.incremental.datalog` — warm-start re-decision for
   hom/containment/core queries (witness revalidation + monotonicity)

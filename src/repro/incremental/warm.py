@@ -20,12 +20,13 @@ edits and re-decide in three tiers:
    batched through the engine's kernel-v2 session for the current
    target so repeated fallbacks against one target compile it once.
 
-Every re-decision first routes the edit's
-:class:`~repro.incremental.delta.EditRecord` through
-:meth:`~repro.engine.engine.HomEngine.invalidate_edit`, so only memo
-and compiled entries mentioning the edited side's old fingerprint are
-evicted.  UNKNOWN verdicts are never warm-started: a
-governor trip proves nothing about the edited instance.
+Every re-decision first hands the edit's
+:class:`~repro.incremental.delta.EditRecord` to
+:meth:`~repro.engine.engine.HomEngine.invalidate_edit`, which evicts
+nothing: the engine memo's entries for the pre-edit structure stay
+valid, so an edit that is undone later finds its answers there.
+UNKNOWN verdicts are never warm-started: a governor trip proves nothing
+about the edited instance.
 """
 
 from __future__ import annotations

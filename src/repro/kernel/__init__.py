@@ -23,9 +23,9 @@ default:
 * :mod:`repro.kernel.batch` — the v2 batched entry point
   (:class:`~repro.kernel.batch.BatchSolveSession`, which the engine's
   :meth:`~repro.engine.engine.HomEngine.batch` handle drives): many
-  sources against one target compile the target once, share its
-  memoized support tables and one propagation scratch pair, and dedup
-  repeated (source, options) queries within the session.
+  sources against one target compile the target once and share its
+  memoized support tables and one propagation scratch pair; the
+  session memoizes no answer, so repeats are the engine memo's.
 * :mod:`repro.kernel.dp` — the v2 treewidth-guided DP solve path:
   when :func:`~repro.kernel.dp.plan_dp` accepts a source (enough
   variables, small Gaifman-graph width, affordable table bound),

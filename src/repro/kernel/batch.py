@@ -16,10 +16,11 @@ per-query loop:
   later query;
 * one :class:`~repro.kernel.solver.PropagationScratch` pair (worklist
   deque + membership set) is threaded through every solve, so the batch
-  stops churning fresh containers per propagation pass;
-* repeated ``(source, options)`` queries within the session are
-  answered from a session memo of :data:`SESSION_MEMO_SIZE` keys (a
-  :class:`~repro.engine.cache.VerifiedLRU`) instead of re-searching.
+  stops churning fresh containers per propagation pass.
+
+A session memoizes no answer: every :meth:`BatchSolveSession.solve`
+searches, and repeated queries are the engine memo's to answer
+(:meth:`~repro.engine.engine.HomEngine.batch`).
 
 Sessions are single-threaded by design — the shared scratch buffers
 make concurrent solves unsafe — and they preserve the governance
@@ -30,16 +31,11 @@ deadline can interrupt a batch between (or inside) queries.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional
 
-from ..engine.cache import MISS, VerifiedLRU
-from ..resources.governor import RunContext, current_context
 from ..structures.structure import Element, Structure
 from .compile import CompiledTarget, CompiledTargetCache
 from .solver import BitsetHomomorphismSolver, Homomorphism, PropagationScratch
-
-#: Distinct (source, options) queries a session's memo retains.
-SESSION_MEMO_SIZE = 4096
 
 
 class BatchSolveSession:
@@ -48,47 +44,37 @@ class BatchSolveSession:
     Parameters
     ----------
     target:
-        The common target — a :class:`~repro.structures.Structure` or an
-        already-compiled :class:`~repro.kernel.compile.CompiledTarget`.
+        The common target structure.
     cache:
         Optional :class:`~repro.kernel.compile.CompiledTargetCache`; when
-        given (and ``target`` is a plain structure), compilation goes
-        through it so sessions share compiled targets with the engine
-        and with each other.
+        given, compilation goes through it so sessions share compiled
+        targets with the engine and with each other.
     stats:
         Optional counter record (:class:`~repro.engine.instrumentation.
-        SolverStats`); the session bumps ``batch_calls`` once,
-        ``batch_queries`` per solve and ``batch_dedup_hits`` per memo
-        hit, and threads the record into every inner solver.
-    context:
-        Optional pinned :class:`~repro.resources.RunContext`.  When
-        omitted the *ambient* context is looked up at each solve, so a
-        session created outside a ``governed()`` block is still governed
-        by deadlines entered later.
+        SolverStats`); the session bumps ``batch_calls`` once and
+        ``batch_queries`` per solve, and threads the record into every
+        inner solver.
+
+    Each solve runs under the context that is ambient when it starts,
+    so a session created outside a ``governed()`` block is still
+    governed by deadlines entered later.
     """
 
     def __init__(
         self,
-        target: Union[Structure, CompiledTarget],
+        target: Structure,
         *,
         cache: Optional[CompiledTargetCache] = None,
         stats=None,
-        context: Optional[RunContext] = None,
     ) -> None:
-        if isinstance(target, CompiledTarget):
-            self.compiled = target
-        elif cache is not None:
+        if cache is not None:
             self.compiled = cache.get(target, stats)
         else:
             self.compiled = CompiledTarget(target)
             if stats is not None:
                 stats.kernel_compilations += 1
         self.stats = stats
-        self._context = context
         self.scratch = PropagationScratch()
-        # Keyed by (source fingerprint, options); witnesses are stored
-        # once and copied out per hit.
-        self._memo = VerifiedLRU(SESSION_MEMO_SIZE)
         if stats is not None:
             stats.batch_calls += 1
 
@@ -96,9 +82,6 @@ class BatchSolveSession:
     def target(self) -> Structure:
         """The underlying target structure."""
         return self.compiled.structure
-
-    def _current_context(self) -> RunContext:
-        return self._context if self._context is not None else current_context()
 
     def solve(
         self,
@@ -115,36 +98,15 @@ class BatchSolveSession:
         behavior as a standalone
         :class:`~repro.kernel.solver.BitsetHomomorphismSolver`.
         """
-        stats = self.stats
-        if stats is not None:
-            stats.batch_queries += 1
-        pinned_key = (
-            frozenset(pinned.items()) if pinned else frozenset()
-        )
-        forbidden = frozenset(forbidden_images)
-        key = (
-            source.fingerprint(),
-            injective,
-            pinned_key,
-            forbidden,
-            propagate,
-        )
-        witness = self._memo.get(key, (source,))
-        if witness is not MISS:
-            if stats is not None:
-                stats.batch_dedup_hits += 1
-            return dict(witness) if witness is not None else None
-        solver = BitsetHomomorphismSolver(
+        if self.stats is not None:
+            self.stats.batch_queries += 1
+        return BitsetHomomorphismSolver(
             source,
             self.compiled,
             injective=injective,
             pinned=pinned,
-            forbidden_images=forbidden,
+            forbidden_images=forbidden_images,
             propagate=propagate,
-            stats=stats,
-            context=self._current_context(),
+            stats=self.stats,
             scratch=self.scratch,
-        )
-        witness = solver.first()
-        self._memo.put(key, (source,), witness)
-        return dict(witness) if witness is not None else None
+        ).first()

@@ -60,9 +60,10 @@ from ..structures.structure import Structure
 from .breaker import CircuitBreaker
 from .protocol import decode_structure
 
-# HomEngine imports these on first use (core, batches, the DP gate);
-# importing them with the service keeps that import out of the first
-# request.
+# Queries import these on first use (fingerprints, core, batches, the
+# DP gate); importing them with the service keeps that import out of
+# the first request.
+from ..engine import fingerprint as _fingerprint  # noqa: F401
 from ..homomorphism import cores as _cores  # noqa: F401
 from ..kernel import batch as _batch  # noqa: F401
 from ..kernel import dp as _dp  # noqa: F401

@@ -1,12 +1,10 @@
 """The caching contract, checked on every structure-keyed cache.
 
-The hom memo, the compiled-target cache and a batch session's query
-memo all run on :class:`repro.engine.cache.VerifiedLRU`.  Each test
-drives every one of them through its own lookup path and checks one
-clause of the rule in :mod:`repro.engine.cache`: an
-isomorphic-but-unequal structure never gets another structure's hit,
-the key and entry bounds hold,
-``invalidate(fp)`` drops only the entries that mention ``fp``,
+The hom memo and the compiled-target cache both run on
+:class:`repro.engine.cache.VerifiedLRU`.  Each test drives each of
+them through its own lookup path and checks one clause of the rule in
+:mod:`repro.engine.cache`: an isomorphic-but-unequal structure never
+gets another structure's hit, the key and entry bounds hold,
 ``clear()`` keeps the counters, and isomorphic-but-unequal structures
 used alternately both stay cached.  A threaded stress test checks the
 cache's lock.
@@ -18,14 +16,12 @@ import threading
 
 import pytest
 
-import repro.kernel.batch as batch
 from repro.engine.cache import MISS, HomCache, VerifiedLRU
 from repro.engine.engine import HomEngine
-from repro.kernel.batch import BatchSolveSession
 from repro.kernel.compile import CompiledTargetCache
 from repro.structures import GRAPH_VOCABULARY, Structure, directed_cycle
 
-#: The fixed target of the memo and batch lookups (every path maps in).
+#: The fixed target of the memo lookups (every path maps in).
 TARGET = directed_cycle(3)
 
 
@@ -39,38 +35,31 @@ def path(n, offset=0):
     )
 
 
-def _memo(maxsize, monkeypatch):
+def _memo(maxsize):
     engine = HomEngine()
     engine.cache = HomCache(maxsize)
     return (engine.cache,
             lambda s: engine.find_homomorphism(s, TARGET), set)
 
 
-def _compiled_targets(maxsize, monkeypatch):
+def _compiled_targets(maxsize):
     cache = CompiledTargetCache(maxsize)
     return cache, cache.get, lambda compiled: set(compiled.elements)
 
 
-def _batch_memo(maxsize, monkeypatch):
-    monkeypatch.setattr(batch, "SESSION_MEMO_SIZE", maxsize)
-    session = BatchSolveSession(TARGET)
-    return session._memo, session.solve, set
-
-
-#: name -> build(maxsize, monkeypatch) -> (cache, lookup, universe_of):
+#: name -> build(maxsize) -> (cache, lookup, universe_of):
 #: ``lookup(structure)`` runs the user's own cached path and
 #: ``universe_of(value)`` names the structure a returned value was
 #: computed for.
 USERS = {
     "memo": _memo,
     "compiled-targets": _compiled_targets,
-    "batch-memo": _batch_memo,
 }
 
 
 @pytest.fixture(params=sorted(USERS))
-def user(request, monkeypatch):
-    return lambda maxsize: USERS[request.param](maxsize, monkeypatch)
+def user(request):
+    return USERS[request.param]
 
 
 def _key_count(cache):
@@ -78,7 +67,7 @@ def _key_count(cache):
 
 
 def _counters(cache):
-    return (cache.hits, cache.misses, cache.evictions, cache.invalidations)
+    return (cache.hits, cache.misses, cache.evictions)
 
 
 def test_isomorphic_copy_never_borrows_a_hit(user):
@@ -128,21 +117,6 @@ def test_zero_bound_stores_nothing(user):
     assert cache.hits == 0 and len(cache) == 0
 
 
-def test_invalidate_drops_only_entries_mentioning_the_fingerprint(user):
-    cache, lookup, _ = user(8)
-    a, b, c = path(2), path(3), path(4)
-    for s in (a, b, c):
-        lookup(s)
-    assert cache.invalidate(b.fingerprint()) == 1
-    assert cache.invalidations == 1
-    hits = cache.hits
-    lookup(a)
-    lookup(c)
-    assert cache.hits == hits + 2
-    lookup(b)
-    assert cache.hits == hits + 2
-
-
 def test_clear_keeps_counters_and_reset_zeroes_them(user):
     cache, lookup, _ = user(8)
     lookup(path(3))
@@ -155,12 +129,12 @@ def test_clear_keeps_counters_and_reset_zeroes_them(user):
     lookup(path(3))
     assert cache.misses == 3
     cache.reset_counters()
-    assert _counters(cache) == (0, 0, 0, 0) and len(cache) == 1
+    assert _counters(cache) == (0, 0, 0) and len(cache) == 1
 
 
 def test_concurrent_use_loses_no_update():
     """Threads sharing one cache (the serve fallback engine shares the
-    memo) keep every counter and the invalidation index exact."""
+    memo) keep every counter and the entry count exact."""
     cache = VerifiedLRU(4)
     threads, rounds = 8, 2000
 
@@ -174,8 +148,6 @@ def test_concurrent_use_loses_no_update():
             key = s.fingerprint()
             if cache.get(key, (s,)) is MISS:
                 cache.put(key, (s,), s.size())
-            if rng.random() < 0.05:
-                cache.invalidate(key)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -190,8 +162,6 @@ def test_concurrent_use_loses_no_update():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in pool)
     assert cache.hits + cache.misses == threads * rounds
-    assert cache.evictions > 0 and cache.invalidations > 0
+    assert cache.evictions > 0
     assert len(cache) == sum(map(len, cache._data.values()))
     assert _key_count(cache) <= cache.maxsize
-    indexed = set().union(*cache._by_fingerprint.values())
-    assert indexed == set(cache._data)

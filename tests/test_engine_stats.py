@@ -99,16 +99,6 @@ class TestCoreMemoization:
 
 
 class TestInvalidation:
-    def test_invalidate_forces_resolve(self, engine):
-        source, target = undirected_cycle(5), undirected_path(2)
-        engine.exists_homomorphism(source, target)
-        removed = engine.invalidate(source)
-        assert removed == 1
-        backtracks = engine.stats.backtracks
-        engine.exists_homomorphism(source, target)
-        assert engine.stats.backtracks > backtracks
-        assert engine.cache.invalidations == 1
-
     def test_clear_cache(self, engine):
         engine.exists_homomorphism(directed_path(3), directed_cycle(3))
         assert len(engine.cache) == 1
@@ -122,6 +112,25 @@ class TestInvalidation:
         engine.exists_homomorphism(directed_path(3), directed_cycle(3))
         assert engine.cache.evictions == 1
         assert len(engine.cache) == 1
+
+
+class TestBatchMemo:
+    def test_batch_repeat_is_a_memo_hit(self, engine):
+        handle = engine.batch(undirected_path(2))
+        for _ in range(2):
+            assert handle.exists(undirected_cycle(5)) is False
+        assert (engine.stats.solves, engine.stats.cache_hits) == (1, 1)
+
+    def test_batch_without_the_memo_searches_every_query(self):
+        engine = HomEngine(cache_enabled=False)
+        handle = engine.batch(undirected_path(2))
+        nodes = []
+        for _ in range(2):
+            assert handle.exists(undirected_cycle(5)) is False
+            nodes.append(engine.stats.nodes)
+        assert nodes[0] > 0 and nodes[1] == 2 * nodes[0]
+        assert engine.stats.solves == engine.stats.batch_queries == 2
+        assert engine.stats.cache_hits == engine.stats.batch_dedup_hits == 0
 
 
 class TestSnapshotAndGlobalEngine:

@@ -1,9 +1,9 @@
-"""The incremental engine: deltas, fingerprints, invalidation, warm starts.
+"""The incremental engine: deltas, fingerprints, warm starts.
 
 Unit coverage for :mod:`repro.incremental` plus the observability
 satellites: the entry-bounded memo cache under a 10k-decision stream,
-the fine-grained ``invalidate_edit`` keep/evict split, and the
-``repro stats --reset`` regression (distributed/lease and journal
+edits that evict nothing (an undone edit's decision is a memo hit), and
+the ``repro stats --reset`` regression (distributed/lease and journal
 counters must reset too).
 """
 
@@ -229,35 +229,26 @@ class TestEntryBoundedCache:
 
 
 # ----------------------------------------------------------------------
-# Fine-grained invalidation
+# Edits evict nothing
 # ----------------------------------------------------------------------
 class TestInvalidateEdit:
-    def test_only_edited_side_is_evicted(self):
+    def test_edit_evicts_nothing(self):
+        """The pre-edit structure's memo entries and compiled target
+        stay: they are still right answers for it."""
         engine = HomEngine()
-        a, b, c = undirected_path(3), undirected_cycle(4), directed_path(4)
+        a, b = undirected_path(3), undirected_cycle(5)
         engine.exists_homomorphism(a, b)
-        engine.exists_homomorphism(c, b)
-        assert len(engine.cache) == 2
         before_kept = INCREMENTAL.incr_kept
         before_evicted = INCREMENTAL.incr_evictions
-        _, record = apply_delta(a, Delta(add_facts=[("E", (0, 2))]))
-        dropped = engine.invalidate_edit(record)
-        assert dropped >= 1
-        assert len(engine.cache) == 1  # the untouched (c, b) entry stays
+        for side in (a, b):
+            _, record = apply_delta(side, Delta(add_facts=[("E", (0, 2))]))
+            assert engine.invalidate_edit(record) == 0
+        assert len(engine.cache) == 1 and len(engine.compiled_targets) == 1
         hits = engine.cache.hits
-        engine.exists_homomorphism(c, b)
+        engine.exists_homomorphism(a, b)
         assert engine.cache.hits == hits + 1
-        assert INCREMENTAL.incr_evictions > before_evicted
-        assert INCREMENTAL.incr_kept >= before_kept + 1
-
-    def test_compiled_target_evicted_with_edit(self):
-        engine = HomEngine()
-        target = undirected_cycle(5)
-        engine.exists_homomorphism(undirected_path(3), target)
-        assert len(engine.compiled_targets) == 1
-        _, record = apply_delta(target, Delta(add_facts=[("E", (0, 2))]))
-        engine.invalidate_edit(record)
-        assert len(engine.compiled_targets) == 0
+        assert INCREMENTAL.incr_evictions == before_evicted
+        assert INCREMENTAL.incr_kept == before_kept + 2
 
     def test_identity_edit_evicts_nothing(self):
         engine = HomEngine()
@@ -266,6 +257,48 @@ class TestInvalidateEdit:
         _, record = apply_delta(a, Delta())
         assert engine.invalidate_edit(record) == 0
         assert len(engine.cache) == 1
+
+
+# ----------------------------------------------------------------------
+# An undone edit's decision is a memo hit
+# ----------------------------------------------------------------------
+class TestUndoIsAMemoHit:
+    """Edit, then undo: the undo's warm start fails, so its decision
+    searches, and the engine memo answers it from the first decision."""
+
+    def _edit_and_undo(self, session, edit, delta):
+        engine = session.engine
+        first = session.decide()
+        edited = edit(delta)
+        assert edited.value != first.value  # the edit's decision searched
+        solves = engine.stats.solves
+        compilations = engine.stats.kernel_compilations
+        hits = engine.stats.cache_hits
+        fallbacks = INCREMENTAL.warm_fallbacks
+        undone = edit(delta.inverse())
+        assert INCREMENTAL.warm_fallbacks == fallbacks + 1
+        assert undone.value == first.value
+        assert engine.stats.cache_hits == hits + 1
+        assert engine.stats.solves == solves
+        assert engine.stats.kernel_compilations == compilations
+
+    def test_source_edit_undone(self):
+        session = IncrementalHomSession(
+            undirected_cycle(5), undirected_path(2), engine=HomEngine()
+        )
+        # C5 -> K2 is FALSE; cutting an edge loosens the source (search:
+        # TRUE), and restoring it breaks that witness (search: FALSE)
+        cut = Delta(remove_facts=[("E", (0, 1)), ("E", (1, 0))])
+        self._edit_and_undo(session, session.edit_source, cut)
+
+    def test_target_edit_undone(self):
+        session = IncrementalHomSession(
+            undirected_cycle(3), undirected_path(2), engine=HomEngine()
+        )
+        # C3 -> K2 is FALSE; a loop on the target makes it TRUE (search),
+        # and removing the loop breaks that witness (search: FALSE)
+        loop = Delta(add_facts=[("E", (0, 0))])
+        self._edit_and_undo(session, session.edit_target, loop)
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ import itertools
 import pytest
 
 from repro.engine import HomEngine
-from repro.engine.instrumentation import SolverStats
 from repro.exceptions import ResourceError, ValidationError
 from repro.kernel import (
     BatchSolveSession,
@@ -54,8 +53,8 @@ def _batch(vocabulary, seed):
 
 def _option_mix(seed):
     """Each source of one batch under a different option mix — the
-    handle must keep per-query options apart despite the shared scratch
-    and memo."""
+    handle must keep per-query options apart despite the shared
+    scratch."""
     _, target = random_pair(GRAPH, seed + 100)
     sources = batch_sources(GRAPH, seed + 100)
     value = target.universe[0]
@@ -108,19 +107,6 @@ def test_batch_session_matches_oracle_on_containment_workload():
     session = BatchSolveSession(target)
     for source in sources:
         assert oracle.agrees(Case(source, target), session.solve(source))
-
-
-def test_batch_session_memo_dedups_repeats():
-    stats = SolverStats()
-    session = BatchSolveSession(undirected_path(2), stats=stats)
-    first = session.solve(undirected_cycle(4))
-    nodes_after_first = stats.nodes
-    second = session.solve(undirected_cycle(4))
-    assert stats.batch_dedup_hits == 1
-    assert stats.nodes == nodes_after_first  # no re-search
-    assert first == second
-    second["extra"] = "mutation"  # memo hands out copies
-    assert "extra" not in session.solve(undirected_cycle(4))
 
 
 def test_batch_session_validation_parity():
