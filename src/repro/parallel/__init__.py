@@ -13,7 +13,8 @@ that combines the two — and keeps it alive when its own workers die:
   rerun it, it resumes after the last finished instance) and graceful
   serial fallback when process pools are unavailable;
 * :mod:`repro.parallel.supervisor` — :class:`SweepSupervisor`, the
-  fault-tolerant parallel phase: worker deaths (SIGKILL, OOM) rebuild
+  fault-tolerant parallel phase, and the only process pool
+  :func:`run_sweep` uses: worker deaths (SIGKILL, OOM) rebuild
   the pool and reschedule only the in-flight instances, a watchdog
   hard-kills non-cooperative hangs after ``deadline * grace_factor``,
   and poison instances are quarantined with a structured journal
@@ -22,8 +23,8 @@ that combines the two — and keeps it alive when its own workers die:
   attempt limits with exponential backoff and deterministic jitter;
 * :mod:`repro.parallel.sweeps` — the named sweep registry (``hom``,
   ``cores``, ``treewidth``) with picklable instance specs and task
-  functions, shared by ``repro sweep`` and the ``bench_p01``/
-  ``bench_p02``/``bench_p03`` script modes;
+  functions, shared by ``repro sweep`` and the ``bench_p02``/
+  ``bench_p03`` script modes;
 * :mod:`repro.parallel.faults` — picklable worker-fault tasks (crash,
   OOM, hang, flaky) backing the chaos campaigns and the fault-rate
   bench.

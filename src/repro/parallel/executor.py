@@ -2,9 +2,10 @@
 
 :func:`run_sweep` maps a picklable task over ``(key, spec)`` instances:
 
-* **parallel** — a ``ProcessPoolExecutor`` with ``workers`` processes;
-  pending instances are grouped into order-preserving chunks so small
-  tasks amortize the submission overhead;
+* **parallel** — a ``ProcessPoolExecutor`` with ``workers`` processes,
+  always run by the supervisor below; pending instances are grouped
+  into order-preserving chunks so small tasks amortize the submission
+  overhead;
 * **governed** — the configured per-task deadline/budget is re-installed
   *inside* each worker via :func:`repro.resources.governed`, so one
   pathological instance trips its own governor instead of stalling the
@@ -203,15 +204,6 @@ def serial_map(
     return out
 
 
-def _chunked(
-    instances: Sequence[Instance], chunksize: int
-) -> List[List[Instance]]:
-    return [
-        list(instances[i:i + chunksize])
-        for i in range(0, len(instances), chunksize)
-    ]
-
-
 def run_sweep(
     task: Task,
     instances: Sequence[Instance],
@@ -226,7 +218,6 @@ def run_sweep(
     retry_policy: Optional[RetryPolicy] = None,
     grace_factor: float = DEFAULT_GRACE_FACTOR,
     hard_timeout_s: Optional[float] = None,
-    supervised: bool = True,
     heartbeat: Optional[Callable[[], None]] = None,
 ) -> SweepOutcome:
     """Map ``task`` over ``instances``, parallel, governed and resumable.
@@ -265,10 +256,6 @@ def run_sweep(
     hard_timeout_s:
         Explicit per-instance hard wall-clock cap (overrides the
         factor).
-    supervised:
-        ``False`` runs the legacy unsupervised pool map (no retries,
-        no watchdog, any pool failure degrades to serial) — kept as the
-        baseline the fault-overhead bench measures supervision against.
     heartbeat:
         Optional zero-argument callable invoked regularly while the
         sweep makes progress: before each serial instance and at every
@@ -298,39 +285,30 @@ def run_sweep(
             pending.append((key, spec))
 
     completed: Dict[str, Dict[str, Any]] = {}
-    # A supervised run with an explicit hard cap goes through the pool
-    # even at workers=1: the watchdog can only SIGKILL *worker*
-    # processes, and a sharded runner needs hangs killable so a hung
-    # task cannot pin a shard lease forever.
-    use_pool = workers > 1 or (
-        supervised and hard_timeout_s is not None
-    )
-    if pending and use_pool:
-        if supervised:
-            supervisor = SweepSupervisor(
-                task,
-                workers=workers,
-                deadline_s=deadline_s,
-                budget=budget,
-                journal=journal,
-                retry_policy=retry_policy,
-                grace_factor=grace_factor,
-                hard_timeout_s=hard_timeout_s,
-                tick=heartbeat,
-            )
-            phase = supervisor.run(pending, chunksize=chunksize)
-            completed = phase.completed
-            leftover = phase.leftover
-            outcome.retries = phase.retries
-            outcome.quarantined = phase.quarantined
-            outcome.hard_kills = phase.hard_kills
-            outcome.pool_rebuilds = phase.pool_rebuilds
-            outcome.worker_crashes = phase.worker_crashes
-        else:
-            completed, leftover = _plain_parallel_phase(
-                task, pending, workers, deadline_s, budget, journal,
-                chunksize,
-            )
+    # A run with an explicit hard cap goes through the pool even at
+    # workers=1: the watchdog can only SIGKILL *worker* processes, and
+    # a sharded runner needs hangs killable so a hung task cannot pin
+    # a shard lease forever.
+    if pending and (workers > 1 or hard_timeout_s is not None):
+        supervisor = SweepSupervisor(
+            task,
+            workers=workers,
+            deadline_s=deadline_s,
+            budget=budget,
+            journal=journal,
+            retry_policy=retry_policy,
+            grace_factor=grace_factor,
+            hard_timeout_s=hard_timeout_s,
+            tick=heartbeat,
+        )
+        phase = supervisor.run(pending, chunksize=chunksize)
+        completed = phase.completed
+        leftover = phase.leftover
+        outcome.retries = phase.retries
+        outcome.quarantined = phase.quarantined
+        outcome.hard_kills = phase.hard_kills
+        outcome.pool_rebuilds = phase.pool_rebuilds
+        outcome.worker_crashes = phase.worker_crashes
         outcome.parallel = bool(completed) or not leftover
         if leftover:
             log.warning(
@@ -369,46 +347,3 @@ def run_sweep(
         outcome.journal = stats
     outcome.elapsed_s = time.perf_counter() - started
     return outcome
-
-
-def _plain_parallel_phase(
-    task: Task,
-    pending: Sequence[Instance],
-    workers: int,
-    deadline_s: Optional[float],
-    budget: Optional[int],
-    journal: Optional[SweepJournal],
-    chunksize: int,
-) -> Tuple[Dict[str, Dict[str, Any]], List[Instance]]:
-    """The legacy unsupervised pool map (``supervised=False``).
-
-    No retries, no quarantine, no watchdog: any pool-level failure
-    (creation, pickling, worker death) degrades to returning the
-    unfinished remainder for the serial path instead of raising.  Kept
-    as the zero-overhead baseline supervision is benchmarked against.
-    """
-    completed: Dict[str, Dict[str, Any]] = {}
-    chunks = _chunked(pending, chunksize)
-    try:
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_run_chunk, task, chunk, deadline_s, budget): chunk
-                for chunk in chunks
-            }
-            for future in as_completed(futures):
-                for key, record in future.result():
-                    if journal is not None:
-                        journal.record(key, record)
-                    completed[key] = record
-    except Exception as err:  # noqa: BLE001 - degrade, never raise
-        log.warning(
-            "unsupervised pool failed (%s: %s); degrading to serial",
-            type(err).__name__, err,
-        )
-        leftover = [
-            (key, spec) for key, spec in pending if key not in completed
-        ]
-        return completed, leftover
-    return completed, []

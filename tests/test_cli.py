@@ -286,43 +286,3 @@ class TestProcessState:
         assert (signal.getsignal(signal.SIGTERM),
                 signal.getsignal(signal.SIGINT)) == handlers
         assert get_engine() is engine and engine.use_kernel
-
-
-class TestBenchOnlyFilter:
-    """The bench script's --only filter fails structurally, like sweep's."""
-
-    def _bench_module(self):
-        import importlib
-        import os
-        import sys
-
-        bench_dir = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "benchmarks",
-        )
-        sys.path.insert(0, bench_dir)
-        try:
-            return importlib.import_module("bench_p01_hom_search")
-        finally:
-            sys.path.remove(bench_dir)
-
-    def test_unknown_instance_exits_2_with_valid_names(self, capsys):
-        bench = self._bench_module()
-        code = bench.main(["--kernel-compare", "--only", "no-such-bench"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "no-such-bench" in err
-        assert "odd-cycle-7-vs-k2" in err
-
-    def test_filter_workload_matches_substrings(self):
-        from repro.exceptions import UnknownInstanceError
-
-        bench = self._bench_module()
-        pairs = bench.kernel_compare_workload("tiny")
-        matched = bench.filter_workload(pairs, "odd-cycle")
-        assert [name for name, _, _ in matched] == [
-            "odd-cycle-7-vs-k2", "odd-cycle-9-vs-k2",
-        ]
-        with pytest.raises(UnknownInstanceError) as excinfo:
-            bench.filter_workload(pairs, "zzz")
-        assert "odd-cycle-7-vs-k2" in excinfo.value.valid

@@ -436,31 +436,6 @@ def test_supervision_counters_reach_the_governor(tmp_path):
     assert snapshot["pool_rebuilds"] >= 1
 
 
-def test_unsupervised_baseline_still_degrades_to_serial(tmp_path, caplog):
-    """``supervised=False`` keeps the legacy behaviour: any pool fault
-    (here a worker SIGKILL) degrades the remainder to the serial path
-    (and says so).  A crash-*once* fault is used because the serial
-    rerun happens in this very process — its sentinel already exists, so
-    the in-parent attempt returns instead of killing the test runner."""
-    sentinel = str(tmp_path / "sentinel")
-    with caplog.at_level(logging.WARNING, logger="repro.parallel"):
-        outcome = run_sweep(
-            faulty_task,
-            [
-                ("a", ("ok", 1)),
-                ("boom", ("crash-once", sentinel, 7)),
-                ("b", ("ok", 2)),
-            ],
-            workers=2,
-            supervised=False,
-        )
-    assert outcome.results["a"]["result"]["value"] == 1
-    assert outcome.results["b"]["result"]["value"] == 2
-    assert outcome.results["boom"]["result"]["recovered"] is True
-    assert outcome.retries == 0  # no supervision on the baseline path
-    assert any("degrad" in r.message for r in caplog.records)
-
-
 def test_degradation_paths_are_logged_distinctly(monkeypatch, caplog):
     """Pool-infrastructure failure logs the degrade decision."""
     import concurrent.futures
